@@ -4,16 +4,19 @@
 JSON document each, so the repository's performance trajectory is
 recorded alongside its correctness results:
 
-* :func:`bench_wlan` times ``WLANSimulation.run`` under all three
-  execution engines (``scalar`` — the pre-engine reference path —
-  ``batched``, and ``columnar``) on identical seeds and reports both
-  speedups plus the per-engine ``WLANStats.digest()``; ``bit_identical``
-  asserts columnar == batched bit-for-bit.  The default workload
+* :func:`bench_wlan` times, on identical seeds, the reference slot loop
+  with the per-group (``scalar``) and the plain batched (``batched``,
+  :class:`~repro.sim.wlan.ReferenceWLANSimulation`) evaluator against
+  the per-slot columnar pieces (``columnar``,
+  :func:`~repro.sim.columnar.run_columnar`), reporting both speedups,
+  each ``WLANStats.digest()`` and ``bit_identical`` (columnar ==
+  batched, bit for bit).  The default workload
   (200 slots, 12 clients) is the acceptance workload of the engine and
   columnar PRs; ``BENCH_wlan.json``.
-* :func:`bench_events` (``repro bench --events``) times the
-  event-driven kernel (``engine="event"``) against the columnar slot
-  loop as a function of offered load on a sounding-dominated cell,
+* :func:`bench_events` (``repro bench --events``) times the production
+  event driver (:func:`~repro.sim.events.run_event`) against the
+  per-slot columnar loop as a function of offered load on a
+  sounding-dominated cell,
   records busy-slots-processed per second, and checks per-point digest
   equality plus the no-regression saturated bracket;
   ``BENCH_events.json``.
@@ -83,19 +86,33 @@ def bench_wlan(
     algorithm: str = "best2",
     n_antennas: int = 2,
 ) -> dict:
-    """Time ``WLANSimulation.run(n_slots)`` under all three engines.
+    """Time ``n_slots`` slots under the scalar, batched and columnar drivers.
 
     Returns the ``BENCH_wlan.json`` document (see ``EXPERIMENTS.md``).
-    The engines run the same seed; per-engine total rates and
+    The drivers run the same seed; per-driver total rates and
     ``WLANStats.digest()`` values are included so a regression in
     numerical equivalence is visible in the artifact, and
-    ``bit_identical`` asserts the columnar digest equals the batched one
-    (the columnar PR's correctness contract).  ``speedup`` remains the
-    batched-vs-scalar ratio of the engine PR; ``speedup_columnar`` is the
-    columnar-vs-scalar ratio (the columnar PR's >= 10x acceptance
-    number).
+    ``bit_identical`` asserts the columnar digest equals the batched
+    reference loop's (the columnar pieces' correctness contract).
+    ``speedup`` remains the batched-vs-scalar ratio of the engine PR;
+    ``speedup_columnar`` is the columnar-vs-scalar ratio (the columnar
+    PR's >= 10x acceptance number).
     """
-    from repro.sim.wlan import WLANConfig, WLANSimulation  # deferred: keep import light
+    # Deferred: keep import light.
+    from repro.sim.columnar import run_columnar
+    from repro.sim.wlan import ReferenceWLANSimulation, WLANConfig, WLANSimulation
+
+    def driver(engine: str):
+        """A fresh simulation's ``n_slots -> WLANStats`` callable."""
+        config = WLANConfig(
+            n_clients=n_clients, n_antennas=n_antennas, rho=rho, seed=seed,
+            algorithm=algorithm, engine="scalar" if engine == "scalar" else "batched",
+        )
+        if engine == "columnar":
+            sim = WLANSimulation(config)
+            return lambda n: run_columnar(sim, n)
+        cls = ReferenceWLANSimulation if engine == "batched" else WLANSimulation
+        return cls(config).run
 
     engines: Dict[str, Dict[str, object]] = {}
     for engine in ("scalar", "batched", "columnar"):
@@ -103,18 +120,9 @@ def bench_wlan(
         total_rate = 0.0
         digest = ""
         for _ in range(max(1, repeats)):
-            sim = WLANSimulation(
-                WLANConfig(
-                    n_clients=n_clients,
-                    n_antennas=n_antennas,
-                    rho=rho,
-                    seed=seed,
-                    algorithm=algorithm,
-                    engine=engine,
-                )
-            )
+            run = driver(engine)
             start = time.perf_counter()
-            stats = sim.run(n_slots)
+            stats = run(n_slots)
             best = min(best, time.perf_counter() - start)
             total_rate = stats.total_rate
             digest = stats.digest()
@@ -160,23 +168,26 @@ def bench_events(
         0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 0.6,
     ),
 ) -> dict:
-    """Time the event kernel against the columnar slot loop vs offered load.
+    """Time the event driver against the columnar slot loop vs offered load.
 
     Returns the ``BENCH_events.json`` document (see ``EXPERIMENTS.md``).
-    The workload is the regime the event kernel exists for: a dense,
+    The workload is the regime the event driver exists for: a dense,
     sounding-dominated cell (``ack_period=1``, high coherence ``rho``)
     where the slot loop pays per-slot CSI tracking on every idle slot
-    while the event kernel jumps straight between transmission
+    while the event driver jumps straight between transmission
     opportunities.  *Offered load* is the Poisson arrival rate
     normalised by the cell's service capacity (``n_aps`` packets per
-    slot), so ``load=0.1`` keeps the cell ~90% idle.  Both engines run
+    slot), so ``load=0.1`` keeps the cell ~90% idle.  Both drivers run
     identical seeds; every point records digest equality, and
     ``bit_identical`` only holds if *all* points (including the
-    saturated bracket, where the kernel must not regress) match.
+    saturated bracket, where the driver must not regress) match.
     """
-    from repro.sim.wlan import WLANConfig, WLANSimulation  # deferred: keep import light
+    # Deferred: keep import light.
+    from repro.sim.columnar import run_columnar
+    from repro.sim.events import run_event
+    from repro.sim.wlan import WLANConfig, WLANSimulation
 
-    def time_engine(engine: str, load, n_rep: int):
+    def time_driver(run, load, n_rep: int):
         best = float("inf")
         digest = ""
         summary = None
@@ -190,7 +201,6 @@ def bench_events(
                 algorithm="best2",
                 ack_period=1,
                 seed=seed,
-                engine=engine,
             )
             if load is not None:
                 kwargs["traffic"] = "poisson"
@@ -199,15 +209,15 @@ def bench_events(
                 }
             sim = WLANSimulation(WLANConfig(**kwargs))
             start = time.perf_counter()
-            stats = sim.run(n_slots)
+            stats = run(sim, n_slots)
             best = min(best, time.perf_counter() - start)
             digest = stats.digest()
             summary = getattr(sim, "last_event_summary", None)
         return best, digest, summary
 
     def point(load, n_rep: int = repeats) -> dict:
-        col_seconds, col_digest, _ = time_engine("columnar", load, n_rep)
-        ev_seconds, ev_digest, summary = time_engine("event", load, n_rep)
+        col_seconds, col_digest, _ = time_driver(run_columnar, load, n_rep)
+        ev_seconds, ev_digest, summary = time_driver(run_event, load, n_rep)
         entry = {
             "columnar_seconds": col_seconds,
             "event_seconds": ev_seconds,
@@ -226,7 +236,7 @@ def bench_events(
         entry = point(load)
         entry["load"] = load
         points.append(entry)
-    # Saturated, the event kernel delegates to the columnar loop, so the
+    # Saturated, the event driver processes every slot, so the
     # two runs are the same code and the ratio is pure timing noise
     # around 1.0 — extra repeats keep one slow outlier from reporting a
     # phantom regression.

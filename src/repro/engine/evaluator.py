@@ -728,9 +728,14 @@ def make_evaluator(
     noise_power: float = 1.0,
     alignment: str = "per_subcarrier",
 ) -> GroupEvaluator:
-    """Factory: ``"batched"`` (default engine), ``"columnar"`` (the
-    batched engine plus the believed-channel mirror consumed by the
-    columnar slot loop) or ``"scalar"`` (reference).
+    """Factory for the two engines: ``"batched"`` or ``"scalar"``.
+
+    ``"batched"`` is the production evaluator: the memoised batched
+    engine plus the believed-channel mirror the columnar slot pieces and
+    the stacked driver consume (:class:`ColumnarGroupEvaluator`).  Its
+    oracle, the plain :class:`BatchedGroupEvaluator`, is built directly
+    by :class:`~repro.sim.wlan.ReferenceWLANSimulation`.  ``"scalar"`` is
+    the per-group reference path (:class:`ScalarGroupEvaluator`).
 
     ``alignment`` selects the wideband strategy (``"per_subcarrier"`` or
     ``"flat_anchor"``); it only matters when the channel source carries
@@ -738,14 +743,9 @@ def make_evaluator(
     """
     key = name.lower()
     if key == "batched":
-        return BatchedGroupEvaluator(source, aps, noise_power, alignment)
-    if key in ("columnar", "event"):
-        # The event kernel reuses the columnar slot path wholesale, so it
-        # needs the same believed-channel mirror.
         return ColumnarGroupEvaluator(source, aps, noise_power, alignment)
     if key == "scalar":
         return ScalarGroupEvaluator(source, aps, noise_power, alignment)
     raise ValueError(
-        f"unknown engine {name!r} "
-        "(expected 'batched', 'columnar', 'event' or 'scalar')"
+        f"unknown engine {name!r}: engine must be one of 'scalar', 'batched'"
     )

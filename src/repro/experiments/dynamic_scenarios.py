@@ -28,20 +28,15 @@ contract of the experiment runner.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, Mapping
 
 import numpy as np
 
 from repro.baselines.dot11_mimo import per_client_rates
 from repro.core.plans import ChannelSet
-from repro.experiments.registry import (
-    TrialContext,
-    register_scenario,
-    register_stacked,
-)
+from repro.experiments.registry import TrialContext, register_scenario
 from repro.experiments.results import ExperimentResult
-from repro.sim.columnar import run_stacked
-from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats
+from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats, validate_engine
 
 #: Downlink groups carry up to three packets per slot (Lemma 5.2, M=2).
 _SERVICE_CAPACITY = 3
@@ -90,7 +85,8 @@ def canonical_dynamic_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
     # The group-evaluation engines are numerically equivalent (pinned by
     # tests/engine/test_evaluator.py), so the engine choice affects
     # timing only — never the numbers — and stays out of the identity.
-    q.pop("engine", None)
+    # An unknown engine raises here, before a sweep keys any cell.
+    validate_engine(q.pop("engine", "batched"))
     return q
 
 
@@ -305,13 +301,6 @@ def fig15_dynamic_trial(ctx: TrialContext) -> Dict[str, float]:
     sim = WLANSimulation(build_wlan_config(p, _sim_seed(ctx)))
     baseline = _dot11_round_robin(sim)
     stats = sim.run(int(p["n_slots"]))
-    return _fig15_metrics(sim, baseline, stats)
-
-
-def _fig15_metrics(
-    sim: WLANSimulation, baseline: Dict[int, float], stats: WLANStats
-) -> Dict[str, float]:
-    """The fig15_dynamic metric block (shared by the stacked path)."""
     gains = {
         c: stats.per_client_rate.get(c, 0.0) / baseline[c] for c in sim.client_ids
     }
@@ -383,10 +372,6 @@ def load_latency_trial(ctx: TrialContext) -> Dict[str, float]:
     p = ctx.params
     sim = WLANSimulation(build_wlan_config(p, _sim_seed(ctx)))
     stats = sim.run(int(p["n_slots"]))
-    return _load_latency_metrics(stats)
-
-
-def _load_latency_metrics(stats: WLANStats) -> Dict[str, float]:
     # The offered load is deliberately NOT echoed as a metric: the row's
     # parameters already carry it, and a cached/shared cell relabeled
     # under a different (inert) load value would contradict itself.
@@ -447,78 +432,6 @@ def churn_throughput_trial(ctx: TrialContext) -> Dict[str, float]:
     p = ctx.params
     sim = WLANSimulation(build_wlan_config(p, _sim_seed(ctx)))
     stats = sim.run(int(p["n_slots"]))
-    return _churn_metrics(stats)
-
-
-def _churn_metrics(stats: WLANStats) -> Dict[str, float]:
     metrics = _dynamic_metrics(stats)
     metrics["n_events"] = float(len(stats.events))
     return metrics
-
-
-# --------------------------------------------------------------------- #
-# Cross-trial stacking
-# --------------------------------------------------------------------- #
-#
-# With ``engine="columnar"`` a whole experiment's trials can share one
-# stacked alignment solve per slot (:func:`repro.sim.columnar.run_stacked`):
-# every simulation's uncached candidate groups are pooled into a single
-# ``solve_downlink_three_batch`` call.  Each stacked implementation below
-# draws the per-trial simulation seeds from the contexts' own streams in
-# context order — the identical single ``integers`` call the serial loop
-# makes — so the simulations, and therefore the metrics, are bit-identical
-# to the per-trial path.  Any other engine falls back to that plain loop.
-
-
-def _stacked_sims(contexts: Sequence[TrialContext]) -> List[WLANSimulation]:
-    return [
-        WLANSimulation(build_wlan_config(ctx.params, _sim_seed(ctx)))
-        for ctx in contexts
-    ]
-
-
-def _wants_stacking(contexts: Sequence[TrialContext]) -> bool:
-    return str(contexts[0].params.get("engine", "batched")) == "columnar"
-
-
-@register_stacked("fig15_dynamic")
-def fig15_dynamic_stacked(
-    contexts: Sequence[TrialContext],
-) -> List[Dict[str, float]]:
-    """All fig15_dynamic trials lock-step, one shared solve per slot."""
-    if not _wants_stacking(contexts):
-        return [fig15_dynamic_trial(ctx) for ctx in contexts]
-    sims = _stacked_sims(contexts)
-    # Baselines read the channels at association time, so they must be
-    # computed before any slot advances the fading processes.
-    baselines = [_dot11_round_robin(sim) for sim in sims]
-    n_slots = int(contexts[0].params["n_slots"])
-    all_stats = run_stacked(sims, n_slots)
-    return [
-        _fig15_metrics(sim, baseline, stats)
-        for sim, baseline, stats in zip(sims, baselines, all_stats)
-    ]
-
-
-@register_stacked("load_latency")
-def load_latency_stacked(
-    contexts: Sequence[TrialContext],
-) -> List[Dict[str, float]]:
-    """All load_latency trials lock-step, one shared solve per slot."""
-    if not _wants_stacking(contexts):
-        return [load_latency_trial(ctx) for ctx in contexts]
-    sims = _stacked_sims(contexts)
-    n_slots = int(contexts[0].params["n_slots"])
-    return [_load_latency_metrics(s) for s in run_stacked(sims, n_slots)]
-
-
-@register_stacked("churn_throughput")
-def churn_throughput_stacked(
-    contexts: Sequence[TrialContext],
-) -> List[Dict[str, float]]:
-    """All churn_throughput trials lock-step, one shared solve per slot."""
-    if not _wants_stacking(contexts):
-        return [churn_throughput_trial(ctx) for ctx in contexts]
-    sims = _stacked_sims(contexts)
-    n_slots = int(contexts[0].params["n_slots"])
-    return [_churn_metrics(s) for s in run_stacked(sims, n_slots)]

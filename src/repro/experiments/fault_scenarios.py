@@ -34,7 +34,7 @@ from repro.experiments.multicell_scenarios import (
 from repro.experiments.registry import TrialContext, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.sim.multicell import MultiCellSimulation
-from repro.sim.wlan import WLANConfig, WLANSimulation
+from repro.sim.wlan import WLANConfig, WLANSimulation, validate_engine
 
 #: FaultPlan knobs both scenarios expose as flat scenario parameters.
 _FAULT_KNOBS = (
@@ -173,9 +173,10 @@ _LOSS_SWEEP_DEFAULTS = {
 
 
 def canonical_loss_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
-    """``engine`` picks numerically-equivalent evaluators: strip it."""
+    """``engine`` picks numerically-equivalent evaluators: strip it
+    (after checking it names one)."""
     q = dict(p)
-    q.pop("engine", None)
+    validate_engine(q.pop("engine", "batched"))
     return q
 
 

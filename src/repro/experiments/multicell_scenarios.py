@@ -24,6 +24,7 @@ from typing import Any, Dict, Mapping
 from repro.experiments.registry import TrialContext, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.sim.multicell import MultiCellConfig, MultiCellSimulation
+from repro.sim.wlan import validate_engine
 
 
 def canonical_city_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
@@ -33,10 +34,12 @@ def canonical_city_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
     picks between numerically-equivalent evaluators; ``load`` is unread
     under saturated traffic.  None of them may enter a sweep cell's
     identity hash, or sweeping them would present seed noise as effect.
+    An ``engine`` outside :data:`~repro.sim.wlan.WLAN_ENGINES` raises
+    here, before a sweep keys (or serves from cache) any cell.
     """
     q = dict(p)
     q.pop("workers", None)
-    q.pop("engine", None)
+    validate_engine(q.pop("engine", "batched"))
     if str(q.get("traffic", "poisson")) == "saturated":
         q.pop("load", None)
     return q

@@ -12,9 +12,9 @@ future sweep harness all discover them through :func:`get_scenario` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -71,16 +71,6 @@ class Scenario:
     formatter: Optional[Formatter] = None
     #: Optional parameter canonicalizer (see :data:`Canonicalizer`).
     canonicalize: Optional[Canonicalizer] = None
-    #: Optional cross-trial stacked implementation.  Must return exactly
-    #: what ``[trial(ctx) for ctx in contexts]`` returns — bit-identically
-    #: — it exists purely to share work across trials on one worker (e.g.
-    #: pooling every trial's alignment solves into one stacked
-    #: ``np.linalg`` pass, see :func:`repro.sim.columnar.run_stacked`).
-    #: The implementation decides per call whether stacking applies and
-    #: falls back to the plain per-trial loop when it does not.
-    stacked_trials: Optional[
-        Callable[[Sequence["TrialContext"]], List[Metrics]]
-    ] = None
 
     def canonical_params(self, params: Mapping[str, Any]) -> Mapping[str, Any]:
         """``params`` with configuration-inert knobs stripped (identity
@@ -125,23 +115,6 @@ def register_scenario(
             canonicalize=canonicalize,
         )
         return trial
-
-    return decorator
-
-
-def register_stacked(name: str):
-    """Decorator: attach a cross-trial stacked implementation to ``name``.
-
-    The scenario must already be registered; the decorated callable
-    replaces its ``stacked_trials`` field and is returned unchanged (so
-    it stays importable and directly testable against the per-trial
-    loop).
-    """
-
-    def decorator(fn):
-        scenario = get_scenario(name)
-        _REGISTRY[name] = replace(scenario, stacked_trials=fn)
-        return fn
 
     return decorator
 

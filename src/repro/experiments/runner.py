@@ -11,13 +11,7 @@ into an :class:`~repro.experiments.results.ExperimentResult`:
   thousand-trial sweeps scale with cores without any pickling
   constraints on trial callables;
 * results come back as structured records in trial order — ``--workers 1``
-  and ``--workers 8`` are bit-for-bit identical;
-* a scenario may attach a ``stacked_trials`` hook
-  (:func:`~repro.experiments.registry.register_stacked`) that runs all
-  single-worker trials lock-step and pools their alignment solves into
-  one stacked pass (:func:`repro.sim.columnar.run_stacked`); the hook is
-  contractually bit-identical to the plain loop, so it is purely a
-  throughput optimisation.
+  and ``--workers 8`` are bit-for-bit identical.
 """
 
 from __future__ import annotations
@@ -111,13 +105,7 @@ class ExperimentRunner:
         # reads; it never feeds back into any simulated quantity.
         start = time.perf_counter()  # repro-lint: ignore[no-wallclock]
         if n_workers == 1 or n <= 1:
-            # Cross-trial stacking only engages on the single-worker path:
-            # stacked_trials is contractually bit-identical to the plain
-            # loop, so --workers 1 and --workers 8 still agree.
-            if scenario.stacked_trials is not None and n > 1:
-                outcomes = list(scenario.stacked_trials(contexts))
-            else:
-                outcomes = [scenario.trial(ctx) for ctx in contexts]
+            outcomes = [scenario.trial(ctx) for ctx in contexts]
         else:
             with ThreadPoolExecutor(max_workers=min(n_workers, n)) as pool:
                 outcomes = list(pool.map(scenario.trial, contexts))

@@ -415,11 +415,8 @@ def _run_cell(
     n_trials: Optional[int],
 ) -> SweepCell:
     seed = cell_seed(key)
-    # Each cell runs its trials on one worker, which is exactly the path
-    # where a scenario's ``stacked_trials`` hook engages: with
-    # ``engine="columnar"`` all of a cell's trials share one stacked
-    # alignment solve per slot (repro.sim.columnar.run_stacked) while
-    # staying bit-identical to the plain per-trial loop.
+    # Each cell runs its trials on one worker; sweep parallelism is
+    # across cells.
     result: ExperimentResult = runner.run(
         scenario, n_trials=n_trials, seed=seed, params=merged_params, workers=1
     )

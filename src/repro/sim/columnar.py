@@ -1,8 +1,9 @@
-"""The columnar slot engine: ``WLANSimulation.run`` without the Python loop.
+"""The columnar slot pieces: ``WLANSimulation.run`` without the Python loop.
 
 This module is the fast half of the repo's engine-pair recipe (the slow
 half is :meth:`repro.sim.wlan.WLANSimulation._run_scalar`, the bit-exact
-reference): per-client state lives in ndarrays, the per-slot work that
+reference, run on :class:`~repro.sim.wlan.ReferenceWLANSimulation`):
+per-client state lives in ndarrays, the per-slot work that
 used to be many small Python/numpy calls is batched into a handful of
 vectorised ones, and *nothing* about the simulated trajectory changes —
 same RNG stream consumption, same event log, same
@@ -29,12 +30,12 @@ plan).  Concretely:
 * **Accounting** (:class:`_ColumnarState`): per-client cumulative rates,
   latency sums/counts and queue backlogs as ndarrays; the arrays are
   folded back into the simulation's dicts when the run finalises.
-* **Cross-trial stacking** (:func:`run_stacked`): many independent
-  simulations advanced in lock-step, their not-yet-cached candidate
-  groups concatenated into **one** ``np.linalg`` solve per slot
-  (batch-slice invariance of
+* **Shared solves** (:func:`_shared_solve`): many independent
+  simulations' not-yet-cached candidate groups concatenated into **one**
+  ``np.linalg`` solve per slot (batch-slice invariance of
   :func:`~repro.engine.batched.solve_downlink_three_batch` keeps each
-  trial bit-identical to running alone).
+  simulation bit-identical to running alone) — the seam the production
+  driver :func:`repro.sim.events.run_stacked` stacks cells and trials on.
 
 What stays scalar, deliberately: the FIFO queue (its packet order *is*
 the trajectory), the selectors (their RNG draws are the trajectory),
@@ -43,11 +44,15 @@ stats counters that the scalar loop accumulates sequentially (pairwise
 (faulted runs fall back to the reference helpers per slot — correctness
 over speed on the rare path).
 
+The production driver (:mod:`repro.sim.events`) runs every woken slot
+through :func:`_begin_slot` / :func:`_finish_slot`; :func:`run_columnar`
+is the same pieces without idle skipping, kept as the per-slot baseline
+the benchmark gates time against.
+
 Equivalence contract: ``run_columnar(sim, n)`` must equal
-``run_columnar_reference(sim, n)`` (a fresh sim either way) field for
-field — pinned by ``tests/sim/test_columnar_equivalence.py`` and the
-``engine-pair`` lint rule; the benchmark gate additionally pins
-``WLANConfig(engine="columnar")`` against ``engine="batched"`` digests.
+``run_columnar_reference(ReferenceWLANSimulation(config), n)`` field
+for field — pinned by ``tests/sim/test_columnar_equivalence.py`` and
+the ``engine-pair`` lint rule.
 """
 
 from __future__ import annotations
@@ -67,8 +72,6 @@ __all__ = [
     "ColumnarFadingNetwork",
     "run_columnar",
     "run_columnar_reference",
-    "run_stacked",
-    "run_stacked_reference",
 ]
 
 
@@ -185,11 +188,11 @@ class ColumnarFadingNetwork(FadingNetwork):
     def step_block(
         self,
         n: int,
-        keep: Optional[List[int]] = None,
+        keep: Sequence[int] = (),
         keep_rows: Optional[np.ndarray] = None,
         snap_out: Optional[np.ndarray] = None,
-    ) -> List[np.ndarray]:
-        """Advance ``n`` slots with one blocked draw; return snapshots.
+    ) -> None:
+        """Advance ``n`` slots with blocked draws, snapshotting rows.
 
         Bit-identical to ``n`` successive :meth:`step` calls: the
         ``(n, L, 2, M, M)`` draw fills in C order (slot-major), so it
@@ -197,88 +200,54 @@ class ColumnarFadingNetwork(FadingNetwork):
         would, and the scaled innovations are precomputed with the same
         elementwise expressions ``step`` uses — only the inherently
         sequential AR(1) fold (two ndarray ops per slot; floating-point
-        non-associativity forbids compressing it) stays in the loop.
-        ``keep`` is a sorted list of offsets in ``[0, n)`` whose
-        post-step stacks the caller wants back (the event kernel passes
-        its ack-slot offsets); ``None`` keeps all ``n``.  When ``keep``
-        is given, the fold runs through two ping-pong scratch buffers
-        (``np.multiply``/``np.add`` with ``out=`` — the same ufuncs,
-        the same rounding) and only the kept offsets pay a copy, which
-        is what makes long idle spans cheap.  ``keep_rows`` (only with
-        ``keep``) narrows each snapshot to those stack rows — the fancy
-        index produces the fresh copy — so a sounding caller pays for
-        the (client, AP) rows it tracks instead of the whole stack;
-        ``snap_out`` (only with ``keep_rows``) is a preallocated
-        ``(len(keep), len(keep_rows), M, M)`` buffer the snapshots are
-        taken straight into (``np.take`` with ``out=``), skipping the
-        per-snapshot allocation — the return value is then empty and
-        the caller reads the buffer.  Callers must hold ``rho`` fixed
-        across the block — the kernel ends spans at mobility events.
+        non-associativity forbids compressing it) stays in the loop,
+        through two ping-pong scratch buffers (``np.multiply``/
+        ``np.add`` with ``out=`` — the same ufuncs, the same rounding).
+        ``keep`` is a sorted list of offsets in ``[0, n)`` (the event
+        kernel passes its ack-slot offsets): after each, the stack rows
+        ``keep_rows`` — the (client, AP) rows the caller tracks — are
+        gathered into ``snap_out[i]`` of a preallocated
+        ``(len(keep), len(keep_rows), M, M)`` buffer (``np.take`` with
+        ``out=``).  Callers must hold ``rho`` fixed across the block —
+        the kernel ends spans at mobility events.
         """
         if n < 0:
             raise ValueError("cannot step backwards")
-        if not self._keys:
-            if keep is None:
-                return [self.stack] * n
-            base = self.stack if keep_rows is None else self.stack[keep_rows]
-            if snap_out is not None:
-                for idx in range(len(keep)):
-                    snap_out[idx] = base
-                return []
-            return [base] * len(keep)
+        if not self._keys:  # no links: nothing to draw or snapshot
+            return
         m = self._m
         L = len(self._keys)
         rho = self._rho_vec
         stack = self.stack
-        out = []
-        if keep is None:
-            draws = self._shared_rng.standard_normal((n, L, 2, m, m))
+        mul, add = np.multiply, np.add
+        bufs = (np.empty_like(stack), np.empty_like(stack))
+        keep_iter = iter(keep)
+        want = next(keep_iter, None)
+        kept = 0
+        # Draw and scale in bounded chunks so the innovation block stays
+        # cache-resident through the fold.  Sequential chunked draws
+        # consume the shared stream exactly as one blocked draw does
+        # (the same C-order fill lemma), so this is invisible to the
+        # bitstream.
+        chunk = 256
+        for c0 in range(0, n, chunk):
+            cn = min(chunk, n - c0)
+            draws = self._shared_rng.standard_normal((cn, L, 2, m, m))
             w = self._gain_scale * (draws[:, :, 0] + 1j * draws[:, :, 1])
             sw = self._scale_vec * w
-            for i in range(n):
-                stack = rho * stack + sw[i]
-                out.append(stack)
-        else:
-            mul, add = np.multiply, np.add
-            take = np.take
-            bufs = (np.empty_like(stack), np.empty_like(stack))
-            keep_iter = iter(keep)
-            want = next(keep_iter, None)
-            kept = 0
-            # Draw and scale in bounded chunks so the innovation block
-            # stays cache-resident through the fold.  Sequential
-            # chunked draws consume the shared stream exactly as one
-            # blocked draw does (the same C-order fill lemma), so this
-            # is invisible to the bitstream.
-            chunk = 256
-            for c0 in range(0, n, chunk):
-                cn = min(chunk, n - c0)
-                draws = self._shared_rng.standard_normal((cn, L, 2, m, m))
-                w = self._gain_scale * (
-                    draws[:, :, 0] + 1j * draws[:, :, 1]
-                )
-                sw = self._scale_vec * w
-                for i in range(cn):
-                    nxt = bufs[(c0 + i) & 1]
-                    mul(rho, stack, out=nxt)
-                    add(nxt, sw[i], out=nxt)
-                    stack = nxt
-                    if want == c0 + i:
-                        if snap_out is not None:
-                            take(stack, keep_rows, axis=0,
-                                 out=snap_out[kept])
-                        elif keep_rows is None:
-                            out.append(stack.copy())
-                        else:
-                            out.append(stack[keep_rows])
-                        kept += 1
-                        want = next(keep_iter, None)
-            # Detach the live stack from the scratch buffers.
-            stack = stack.copy() if n else stack
+            for i in range(cn):
+                nxt = bufs[(c0 + i) & 1]
+                mul(rho, stack, out=nxt)
+                add(nxt, sw[i], out=nxt)
+                stack = nxt
+                if want == c0 + i:
+                    np.take(stack, keep_rows, axis=0, out=snap_out[kept])
+                    kept += 1
+                    want = next(keep_iter, None)
         if n:
-            self.stack = stack
+            # Detach the live stack from the scratch buffers.
+            self.stack = stack.copy()
             self._stale = True
-        return out
 
 
 # --------------------------------------------------------------------- #
@@ -297,7 +266,7 @@ class _ColumnarState:
 
     __slots__ = (
         "client_ids", "row", "cum_rate", "lat_sum", "lat_n", "backlog",
-        "fast_track", "fast_transmit", "alpha", "drift_threshold",
+        "fast_track", "alpha", "drift_threshold",
         "nbytes_flat", "row_ca", "row_ev", "T", "T_valid",
     )
 
@@ -324,11 +293,10 @@ class _ColumnarState:
         #: Vectorised ack-slot tracking: needs the stacked fading (the
         #: sounding source), a flat channel and no fault injection (ack
         #: loss, corruption, quarantine refresh and the lossy hub all
-        #: stay on the scalar reference path).
+        #: stay on the scalar reference path).  The same preconditions
+        #: gate fancy-indexed true channels at transmit (a leader crash
+        #: under faults would re-seat the transmit APs).
         self.fast_track = columnar_fading and fault_free and flat
-        #: Fancy-indexed true channels at transmit: same preconditions
-        #: (a leader crash under faults would re-seat the transmit APs).
-        self.fast_transmit = self.fast_track
         if self.fast_track:
             tracker = sim.subordinates[sim.ap_ids[0]]._tracker
             self.alpha = tracker.alpha
@@ -415,7 +383,10 @@ def _track_fast(sim, state: _ColumnarState, slot: int) -> None:
             h = smoothed[p]
             estimate_maps[j][c] = ChannelEstimate(h=h)
             if drifted[p]:
-                handle_update(ChannelUpdate(ap_id=a, client_id=c, h=h))
+                # The leader keeps a report's matrix until the next one
+                # for that (client, AP): a copy, so it does not pin this
+                # slot's whole smoothed stack in memory.
+                handle_update(ChannelUpdate(ap_id=a, client_id=c, h=h.copy()))
                 n_reports += 1
             p += 1
     sim.stats.drift_reports += n_reports
@@ -473,7 +444,7 @@ def _transmit_fast(sim, state: _ColumnarState, group) -> Dict[int, float]:
         return {c: 0.0 for c in group}
     evaluator = sim.evaluator
     if not (
-        state.fast_transmit
+        state.fast_track
         and isinstance(evaluator, ColumnarGroupEvaluator)
         and evaluator.flat_capable(group[0])
     ):
@@ -506,7 +477,8 @@ def _begin_slot(sim, state: _ColumnarState, track: bool,
     """Everything up to (and including) the selector's ``propose``.
 
     Returns a :class:`_Pending` when the slot needs group scoring — the
-    seam where :func:`run_stacked` batches many simulations' solves —
+    seam where :func:`repro.sim.events.run_stacked` batches many
+    simulations' solves —
     and ``None`` when the slot completed here (idle, point-to-point or
     backplane-degraded service).
     """
@@ -615,9 +587,11 @@ def _finalize(sim, state: _ColumnarState, n_slots: int):
         for c in state.client_ids
         if state.lat_n[row[c]] > 0
     }
+    # max(..., 1): a zero-slot first run has nothing to average (and
+    # every cumulative rate is still 0.0).
+    slots = max(sim.stats.slots, 1)
     sim.stats.per_client_rate = {
-        c: total / sim.stats.slots
-        for c, total in sim._cumulative_rate.items()
+        c: total / slots for c, total in sim._cumulative_rate.items()
     }
     sim.stats.per_client_latency = {
         c: sim._latency_sum[c] / sim._latency_n[c]
@@ -632,11 +606,11 @@ def _finalize(sim, state: _ColumnarState, n_slots: int):
 
 
 def run_columnar(sim, n_slots: int, track: bool = True):
-    """Columnar execution of ``sim.run(n_slots, track)``.
+    """Columnar execution of ``sim.run(n_slots, track)``, slot by slot.
 
     Same trajectory, same RNG stream consumption, bit-identical
-    :class:`~repro.sim.wlan.WLANStats`; ``WLANSimulation.run`` dispatches
-    here under ``engine="columnar"``.
+    :class:`~repro.sim.wlan.WLANStats`; the production driver is this
+    loop plus idle-span skipping (:func:`repro.sim.events.run_event`).
     """
     state = _ColumnarState(sim)
     saturated = sim.traffic.saturated
@@ -648,7 +622,8 @@ def run_columnar(sim, n_slots: int, track: bool = True):
 
 
 def run_columnar_reference(sim, n_slots: int, track: bool = True):
-    """The scalar reference loop (the engine-pair bit-identity oracle)."""
+    """The scalar reference loop (the engine-pair bit-identity oracle;
+    the full oracle when ``sim`` is a ``ReferenceWLANSimulation``)."""
     return sim._run_scalar(n_slots, track)
 
 
@@ -699,41 +674,3 @@ def _shared_solve(sims, pendings) -> None:
             w_bel[offset:offset + g],
         )
         offset += g
-
-
-def run_stacked(sims: Sequence, n_slots: int, track: bool = True):
-    """Advance many independent simulations in lock-step, sharing solves.
-
-    The cross-trial stacking of a sweep: each slot runs every
-    simulation's :func:`_begin_slot` (through the selector's
-    draw-complete ``propose``), pools all their uncached candidate
-    groups into one stacked solve, then resolves and finishes each slot.
-    Per-simulation state is fully independent (separate RNG streams,
-    queues, evaluator caches), so interleaving cannot couple trials: the
-    returned stats list is bit-identical to ``[sim.run(n_slots) for sim
-    in sims]`` at any stacking width — pinned by the equivalence suite
-    via :func:`run_stacked_reference`.
-    """
-    sims = list(sims)
-    states = [_ColumnarState(sim) for sim in sims]
-    saturation = [sim.traffic.saturated for sim in sims]
-    for _ in range(n_slots):  # repro-lint: ignore[no-python-slot-loop]
-        pendings = [
-            _begin_slot(sim, state, track, saturated)
-            for sim, state, saturated in zip(sims, states, saturation)
-        ]
-        _shared_solve(sims, pendings)
-        for sim, state, saturated, pending in zip(
-            sims, states, saturation, pendings
-        ):
-            if pending is not None:
-                _finish_slot(sim, state, pending, saturated)
-    return [
-        _finalize(sim, state, n_slots)
-        for sim, state in zip(sims, states)
-    ]
-
-
-def run_stacked_reference(sims: Sequence, n_slots: int, track: bool = True):
-    """Per-simulation scalar runs (the stacked driver's oracle)."""
-    return [sim._run_scalar(n_slots, track) for sim in sims]

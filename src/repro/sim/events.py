@@ -1,10 +1,12 @@
-"""The event-driven slot kernel: skip the slots where nothing happens.
+"""The production slot driver: skip the slots where nothing happens.
 
 :func:`run_event` executes ``WLANSimulation.run`` by advancing simulated
-time in jumps.  The slot-synchronous engines (scalar, batched, columnar)
-pay for every slot even when the queue is empty and no process fires —
-exactly the regime dynamic, non-saturated workloads live in.  This
-kernel instead maintains a priority queue of *wake-up points* — packet
+time in jumps; :func:`run_stacked` does the same for many simulations
+at once, pooling the solves of those that wake on the same slot.  A
+slot-synchronous loop pays for every slot even when the queue is empty
+and no process fires — exactly the regime dynamic, non-saturated
+workloads live in.  This driver instead maintains a priority queue of
+*wake-up points* — packet
 arrivals, churn joins/leaves, mobility epoch changes, sounding
 deadlines, fault events (leader crashes, delayed backplane frames
 maturing) and run-end barriers — and skips the idle span between them in
@@ -15,9 +17,9 @@ of intra-slot ordering truth.
 
 **The contract is bit-identity**, the repo's strictest:
 ``WLANStats.digest()`` — every counter, rate and event-log entry — must
-equal the slot-loop reference for every (seed, config, fault plan),
-pinned by ``tests/sim/test_event_equivalence.py`` and the golden-digest
-corpus.  Skipping is therefore an exercise in RNG-stream bookkeeping,
+equal the slot-loop reference
+(:class:`~repro.sim.wlan.ReferenceWLANSimulation`) for every (seed,
+config, fault plan).  Skipping is therefore an exercise in RNG-stream bookkeeping,
 built on one lemma: numpy ``Generator`` output buffers fill
 element-by-element in C order, so *one blocked draw of n slots' worth
 consumes the bitstream identically to n sequential per-slot draws*.
@@ -69,22 +71,23 @@ path, the queue only decides *when* to wake, never what order intra-slot
 work runs in — which is what makes ``seq`` ranking ahead of ``kind``
 safe.
 
-Saturated traffic never idles, so :func:`run_event` delegates those runs
-to :func:`~repro.sim.columnar.run_columnar` wholesale (the ``>= 1x`` at
-saturation guarantee, by construction).  Wideband (banded) channels and
-non-scannable traffic states (a bursty chain with an ON client) fall
-back to the per-slot columnar path — slower, never wrong.
+Saturated traffic never idles, so every slot is processed — the
+per-slot columnar path of :func:`~repro.sim.columnar.run_columnar`, the
+``>= 1x`` at saturation guarantee by construction.  Wideband (banded)
+channels and non-scannable traffic states (a bursty chain with an ON
+client) fall back to the per-slot columnar path — slower, never wrong.
 
-Equivalence contract: ``run_event(sim, n)`` must equal
-``run_event_reference(sim, n)`` (a fresh sim either way) field for
-field — pinned by ``tests/sim/test_event_equivalence.py`` and the
-``engine-pair`` lint rule.
+Equivalence contract: ``run_event`` and ``run_stacked`` must equal
+``run_event_reference`` / ``run_stacked_reference`` on the reference
+twins (fresh sims either way) field for field — pinned by the
+``tests/sim/test_*_equivalence.py`` suites, the golden-digest corpus
+and the ``engine-pair`` lint rule.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,7 +99,7 @@ from repro.sim.columnar import (
     _ColumnarState,
     _finalize,
     _finish_slot,
-    run_columnar,
+    _shared_solve,
 )
 
 __all__ = [
@@ -104,6 +107,8 @@ __all__ = [
     "EventQueue",
     "run_event",
     "run_event_reference",
+    "run_stacked",
+    "run_stacked_reference",
 ]
 
 # ---------------------------------------------------------------------- #
@@ -165,12 +170,6 @@ class EventQueue:
         # seq keeps counting across spans: uniqueness is the invariant.
         del self._heap[:]
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
 
 # ---------------------------------------------------------------------- #
 # The kernel
@@ -178,17 +177,28 @@ class EventQueue:
 
 
 class _EventKernel:
-    """Per-run skipping machinery around one :class:`_ColumnarState`."""
+    """One simulation's run: its :class:`_ColumnarState` plus the
+    skipping machinery, advancing slots ``[start, end)``."""
 
     __slots__ = (
-        "sim", "state", "track", "queue", "can_skip",
-        "processed_slots", "skipped_slots", "_dirty", "_dirty_clients",
+        "sim", "state", "track", "start", "end", "watch_churn", "queue",
+        "can_skip", "processed_slots", "skipped_slots", "_dirty",
+        "_dirty_clients",
     )
 
-    def __init__(self, sim, state: _ColumnarState, track: bool):
+    def __init__(self, sim, n_slots: int, track: bool):
         self.sim = sim
-        self.state = state
+        self.state = _ColumnarState(sim)
         self.track = track
+        self.start = sim._slot
+        self.end = sim._slot + n_slots
+        # Deferred tracker flush vs churn: a client that leaves (the
+        # scalar loop forgot its estimate) or re-joins (re-sounded fresh)
+        # has a stale pending in-span estimate, so :meth:`complete_slot`
+        # evicts it at the churn slot; a later ack re-adds it.
+        self.watch_churn = (
+            track and self.state.fast_track and sim.churn is not None
+        )
         self.queue = EventQueue()
         # Span skipping needs the stacked flat fading (step_block) —
         # wideband runs take the per-slot path for every slot.
@@ -204,13 +214,13 @@ class _EventKernel:
         #: subordinate tracker's estimate mid-run except the T-invalid
         #: resync, which only touches freshly (re-)joined clients —
         #: and those are evicted from the pending set at their churn
-        #: slot (see :func:`run_event`).
+        #: slot.
         self._dirty = False
         self._dirty_clients: set = set()
 
     # ------------------------------ spans ----------------------------- #
 
-    def skip_idle(self, end_slot: int) -> None:
+    def skip_idle(self) -> None:
         """Jump ``sim._slot`` to the next wake-up point, if any gap exists.
 
         A no-op unless the current slot is skippable: empty queue,
@@ -228,7 +238,7 @@ class _EventKernel:
         t = sim._slot
         q = self.queue
         q.clear()
-        q.push(end_slot, BARRIER)
+        q.push(self.end, BARRIER)
         if sim.injector is not None:
             crash = sim.injector.plan.leader_crash_slot
             if crash is not None and t <= crash and len(sim.ap_ids) > 1:
@@ -342,7 +352,7 @@ class _EventKernel:
             )
             self._track_span(ack_h, active, rows)
         else:
-            sim.fading.step_block(j, keep=[])
+            sim.fading.step_block(j)
             if acks:
                 # No active clients: the scalar ack path still
                 # refreshes update_bytes every ack slot (same value
@@ -356,6 +366,33 @@ class _EventKernel:
             sim.hub.advance(j)
         sim._slot = wake
         self.skipped_slots += j
+
+    @property
+    def offset(self) -> int:
+        """Slots this run has advanced (processed or skipped) so far."""
+        return self.sim._slot - self.start
+
+    def complete_slot(self, pending, events_before: int) -> None:
+        """Finish the woken slot, then jump to the next wake-up point."""
+        sim = self.sim
+        if pending is not None:
+            _finish_slot(sim, self.state, pending, sim.traffic.saturated)
+        if self.watch_churn:
+            events = sim.stats.events
+            for i in range(events_before, len(events)):
+                if events[i].kind in ("join", "leave"):
+                    self._dirty_clients.discard(events[i].client)
+        self.processed_slots += 1
+        self.skip_idle()
+
+    def finish(self):
+        """Flush deferred tracker writes and fold the run's stats back."""
+        self._flush()
+        self.sim.last_event_summary = {
+            "processed_slots": self.processed_slots,
+            "skipped_slots": self.skipped_slots,
+        }
+        return _finalize(self.sim, self.state, self.end - self.start)
 
     # ---------------------------- sounding ---------------------------- #
 
@@ -417,10 +454,12 @@ class _EventKernel:
             n_reports = 0
             for k in np.nonzero(drifted.any(axis=1))[0]:
                 for p in np.nonzero(drifted[k])[0]:
+                    # A copy: the leader keeps it, and a view would pin
+                    # the span's whole smoothing trajectory.
                     handle_update(ChannelUpdate(
                         ap_id=ap_ids[p % n_aps],
                         client_id=active[p // n_aps],
-                        h=S[k + 1, p],
+                        h=S[k + 1, p].copy(),
                     ))
                     n_reports += 1
             sim.stats.drift_reports += n_reports
@@ -466,53 +505,64 @@ class _EventKernel:
 # ---------------------------------------------------------------------- #
 
 
+def run_stacked(sims: Sequence, n_slots: int, track: bool = True):
+    """Advance many independent simulations together, sharing solves.
+
+    Every simulation skips its own idle spans; those that wake on the
+    same slot offset run their slot prologue (through the selector's
+    draw-complete ``propose``), pool their uncached candidate groups
+    into **one** stacked solve (:func:`~repro.sim.columnar._shared_solve`),
+    then resolve and finish their slots.  Per-simulation state is fully
+    independent and the solver is batch-slice invariant, so the stats
+    list is bit-identical to ``[sim.run(n_slots) for sim in sims]`` at
+    any stacking width.  Simulations off the fast path
+    (``engine="scalar"``, the reference twin) run their own ``run()``.
+    """
+    sims = list(sims)
+    out = [None] * len(sims)
+    runs: List[Tuple[int, _EventKernel]] = []
+    for i, sim in enumerate(sims):
+        if sim.fast:
+            runs.append((i, _EventKernel(sim, n_slots, track)))
+        else:
+            out[i] = sim.run(n_slots, track)
+    for _, k in runs:
+        k.skip_idle()
+    live = [k for _, k in runs if k.sim._slot < k.end]
+    while live:
+        t = min(k.offset for k in live)
+        woken = [k for k in live if k.offset == t]
+        marks = [len(k.sim.stats.events) for k in woken]
+        pendings = [
+            _begin_slot(k.sim, k.state, track, k.sim.traffic.saturated)
+            for k in woken
+        ]
+        if len(woken) > 1:
+            _shared_solve([k.sim for k in woken], pendings)
+        for k, pending, mark in zip(woken, pendings, marks):
+            k.complete_slot(pending, mark)
+        live = [k for k in live if k.sim._slot < k.end]
+    for i, k in runs:
+        out[i] = k.finish()
+    return out
+
+
+def run_stacked_reference(sims: Sequence, n_slots: int, track: bool = True):
+    """Per-simulation scalar runs (the stacked driver's oracle)."""
+    return [sim._run_scalar(n_slots, track) for sim in sims]
+
+
 def run_event(sim, n_slots: int, track: bool = True):
     """Event-driven execution of ``sim.run(n_slots, track)``.
 
     Same trajectory, same RNG stream consumption, bit-identical
-    :class:`~repro.sim.wlan.WLANStats`; ``WLANSimulation.run``
-    dispatches here under ``engine="event"``.  Saturated traffic (which
-    never idles) delegates to :func:`run_columnar` outright.  The
-    processed/skipped slot split of the last run is left on
-    ``sim.last_event_summary`` for the benchmark harness.
+    :class:`~repro.sim.wlan.WLANStats`; ``WLANSimulation.run`` dispatches
+    here on the fast path.  Saturated traffic never idles, so every slot
+    is processed (the per-slot columnar path of
+    :func:`~repro.sim.columnar.run_columnar`).  The processed/skipped
+    slot split of the last run is left on ``sim.last_event_summary``.
     """
-    if sim.traffic.saturated:
-        stats = run_columnar(sim, n_slots, track=track)
-        sim.last_event_summary = {
-            "processed_slots": n_slots, "skipped_slots": 0,
-        }
-        return stats
-    state = _ColumnarState(sim)
-    kernel = _EventKernel(sim, state, track)
-    # Deferred tracker flush vs churn: a client that leaves must not be
-    # resurrected (the scalar loop forgot its estimate), and one that
-    # re-joins was re-sounded fresh by ``_associate`` — either way its
-    # pending in-span estimate is stale, so evict it at the churn slot.
-    # A later in-span ack re-adds it with a fresh resync.
-    watch_churn = (
-        track and state.fast_track and sim.churn is not None
-    )
-    events = sim.stats.events
-    end_slot = sim._slot + n_slots
-    while sim._slot < end_slot:
-        kernel.skip_idle(end_slot)
-        if sim._slot >= end_slot:
-            break
-        n_ev = len(events)
-        pending = _begin_slot(sim, state, track, False)
-        if pending is not None:
-            _finish_slot(sim, state, pending, False)
-        if watch_churn:
-            for i in range(n_ev, len(events)):
-                if events[i].kind in ("join", "leave"):
-                    kernel._dirty_clients.discard(events[i].client)
-        kernel.processed_slots += 1
-    kernel._flush()
-    sim.last_event_summary = {
-        "processed_slots": kernel.processed_slots,
-        "skipped_slots": kernel.skipped_slots,
-    }
-    return _finalize(sim, state, n_slots)
+    return run_stacked([sim], n_slots, track)[0]
 
 
 def run_event_reference(sim, n_slots: int, track: bool = True):

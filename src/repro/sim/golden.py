@@ -2,7 +2,7 @@
 
 ``tests/baselines/digests.json`` commits the ``WLANStats.digest()`` /
 ``MultiCellStats.digest()`` of a dozen (seed, scenario) pairs spanning
-every execution engine, the dynamic workloads, fault injection and the
+both execution engines, the dynamic workloads, fault injection and the
 multi-cell layer.  The corpus turns "the simulation still computes the
 same numbers" into a one-file diff:
 
@@ -13,10 +13,12 @@ same numbers" into a one-file diff:
   fast path that drifts by one ulp) fails ``repro digest`` and the
   corpus test in CI.
 
-Scalar-engine entries pin the paper-faithful reference trajectory; the
-``batched``/``columnar`` pairs additionally pin the cross-engine
-bit-identity contract (their committed digests are equal by
-construction, and :mod:`tests.baselines.test_digests` asserts it).
+Scalar-engine entries pin the paper-faithful reference trajectory.
+Every ``batched`` entry is computed on the production path and must
+equal, bit for bit, the same case run on the reference twin
+(:class:`~repro.sim.wlan.ReferenceWLANSimulation`):
+:mod:`tests.baselines.test_digests` asserts both against the committed
+value, so one digest pins the fast path and its oracle at once.
 """
 
 from __future__ import annotations
@@ -60,68 +62,64 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {"n_clients": 8, "seed": 11, "engine": "batched"},
         "n_slots": 40,
     },
-    "wlan_columnar_saturated": {
-        "config": {"n_clients": 8, "seed": 11, "engine": "columnar"},
+    "wlan_batched_big12": {
+        "config": {"n_clients": 12, "rho": 0.99, "seed": 7, "engine": "batched"},
         "n_slots": 40,
     },
-    "wlan_columnar_big12": {
-        "config": {"n_clients": 12, "rho": 0.99, "seed": 7, "engine": "columnar"},
-        "n_slots": 40,
-    },
-    "wlan_columnar_churn": {
+    "wlan_batched_churn": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "columnar",
+            "engine": "batched",
             "churn_params": {"p_leave": 0.05, "p_join": 0.1},
         },
         "n_slots": 40,
     },
-    "wlan_columnar_mobility": {
+    "wlan_batched_mobility": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "columnar",
+            "engine": "batched",
             "mobility_params": {"p_start": 0.2, "p_stop": 0.3, "rho_moving": 0.9},
         },
         "n_slots": 40,
     },
-    "wlan_columnar_wideband": {
+    "wlan_batched_wideband": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "columnar",
+            "engine": "batched",
             "channel": "wideband",
             "n_bins": 2,
         },
         "n_slots": 40,
     },
-    "wlan_event_sparse_poisson": {
+    "wlan_batched_sparse_poisson": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "event",
+            "engine": "batched",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.05},
         },
         "n_slots": 40,
     },
-    "wlan_event_sparse_ack1": {
+    "wlan_batched_sparse_ack1": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "event",
+            "engine": "batched",
             "ack_period": 1,
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.02},
         },
         "n_slots": 40,
     },
-    "wlan_event_churn_mobility": {
+    "wlan_batched_sparse_churn_mobility": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "event",
+            "engine": "batched",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.05},
             "churn_params": {"p_leave": 0.05, "p_join": 0.1},
@@ -129,12 +127,12 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         },
         "n_slots": 40,
     },
-    "wlan_event_full_cocktail": {
+    "wlan_batched_sparse_cocktail": {
         "config": {
             "n_aps": 4,
             "n_clients": 8,
             "seed": 11,
-            "engine": "event",
+            "engine": "batched",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.1},
             "fault_params": {
@@ -150,12 +148,12 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         },
         "n_slots": 40,
     },
-    "wlan_columnar_full_cocktail": {
+    "wlan_batched_saturated_cocktail": {
         "config": {
             "n_aps": 4,
             "n_clients": 8,
             "seed": 11,
-            "engine": "columnar",
+            "engine": "batched",
             "fault_params": {
                 "backplane_loss_rate": 0.1,
                 "burst_enter": 0.05,
@@ -207,15 +205,17 @@ def golden_case_names() -> List[str]:
     return sorted(list(GOLDEN_WLAN) + list(GOLDEN_MULTICELL))
 
 
-def compute_digest(name: str) -> str:
-    """Run one corpus case from scratch and return its digest."""
+def compute_digest(name: str, reference: bool = False) -> str:
+    """Run one corpus case from scratch and return its digest
+    (single-cell cases on the reference twin with ``reference=True``)."""
     # Deferred imports: the corpus definition stays importable without
     # pulling the whole simulation stack.
     if name in GOLDEN_WLAN:
-        from repro.sim.wlan import WLANConfig, WLANSimulation
+        from repro.sim.wlan import ReferenceWLANSimulation, WLANConfig, WLANSimulation
 
         spec = GOLDEN_WLAN[name]
-        sim = WLANSimulation(WLANConfig(**spec["config"]))
+        cls = ReferenceWLANSimulation if reference else WLANSimulation
+        sim = cls(WLANConfig(**spec["config"]))
         return sim.run(spec["n_slots"]).digest()
     if name in GOLDEN_MULTICELL:
         from repro.sim.multicell import MultiCellConfig, MultiCellSimulation

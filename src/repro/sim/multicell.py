@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.mac.association import elect_leader
 from repro.sim.geometry import disk_positions, grid_centers, path_gain_db
-from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats
+from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats, validate_engine
 from repro.utils.db import db_to_linear
 
 __all__ = [
@@ -95,6 +95,7 @@ class MultiCellConfig:
     #: Mean in-cell pair SNR in dB (noise power is 1).
     mean_gain_db: float = 15.0
     algorithm: str = "best2"
+    #: Per-cell :attr:`~repro.sim.wlan.WLANConfig.engine`.
     engine: str = "batched"
     #: Per-cell arrival process: ``"saturated"`` or ``"poisson"`` at a
     #: fraction ``load`` of the cell's 3-packet/slot service capacity.
@@ -133,6 +134,9 @@ class MultiCellConfig:
     #: Times a crashed shard worker is restarted (and replayed from its
     #: completed barriers) before the run gives up.
     max_shard_restarts: int = 2
+
+    def __post_init__(self) -> None:
+        validate_engine(self.engine)
 
     @property
     def n_aps(self) -> int:
@@ -430,7 +434,9 @@ class _Shard:
     Runs identically in-process (``workers=1``) and inside a worker
     process: the shard only ever sees its own cells' configs, the local
     ids of their edge clients, and the scalar floor each cell was
-    assigned for the round.
+    assigned for the round.  A round advances all of its cells with one
+    :func:`~repro.sim.events.run_stacked` call (shared solves; each
+    cell's trajectory is still exactly its solo run).
     """
 
     def __init__(
@@ -447,14 +453,18 @@ class _Shard:
     def run_round(
         self, n_slots: int, floors: Mapping[int, float]
     ) -> Dict[int, CellSummary]:
-        summaries: Dict[int, CellSummary] = {}
-        for k in sorted(self.sims):
-            sim = self.sims[k]
+        # Deferred: the event driver stays off the registry's import path.
+        from repro.sim.events import run_stacked
+
+        cells = sorted(self.sims)
+        for k in cells:
             floor = float(floors.get(k, 0.0))
-            sim.set_interference_floor(
+            self.sims[k].set_interference_floor(
                 {cid: floor for cid in self.edge_local_ids[k]} if floor else {}
             )
-            stats = sim.run(n_slots)
+        all_stats = run_stacked([self.sims[k] for k in cells], n_slots)
+        summaries: Dict[int, CellSummary] = {}
+        for k, stats in zip(cells, all_stats):
             busy = 1.0 - (stats.idle_slots - self._prev_idle[k]) / n_slots
             round_rate = stats.total_rate * stats.slots - self._prev_rate[k]
             self._prev_idle[k] = stats.idle_slots

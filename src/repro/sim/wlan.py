@@ -49,7 +49,7 @@ import numpy as np
 
 from repro.baselines.dot11_mimo import best_ap_link
 from repro.core.plans import BandedChannelSet, ChannelSet
-from repro.engine import make_evaluator
+from repro.engine import BatchedGroupEvaluator, GroupEvaluator, make_evaluator
 from repro.faults import FaultInjector, FaultPlan
 from repro.mac.association import (
     ChannelUpdate,
@@ -68,7 +68,16 @@ from repro.utils.rng import default_rng
 
 #: Every value :attr:`WLANConfig.engine` accepts.  Doc-sync tests use
 #: this to require each engine be documented in EXPERIMENTS.md.
-WLAN_ENGINES: Tuple[str, ...] = ("scalar", "batched", "columnar", "event")
+WLAN_ENGINES: Tuple[str, ...] = ("scalar", "batched")
+
+
+def validate_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless :data:`WLAN_ENGINES` accepts ``engine``."""
+    if engine not in WLAN_ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}: engine must be one of "
+            + ", ".join(repr(e) for e in WLAN_ENGINES)
+        )
 
 
 @dataclass
@@ -88,16 +97,12 @@ class WLANConfig:
     algorithm: str = "best2"
     #: Clients re-sound the channel (ack overheard) every ``ack_period`` slots.
     ack_period: int = 4
-    #: Group-evaluation engine: ``"batched"`` (memoised ndarray batches,
-    #: :mod:`repro.engine`), ``"scalar"`` (the reference per-group path),
-    #: ``"columnar"`` (the batched evaluator plus the columnar slot
-    #: loop of :mod:`repro.sim.columnar` — stacked fading steps,
-    #: vectorised drift tracking and ndarray per-client state; bit-exact
-    #: to the other two, ~10x faster than ``"scalar"``) or ``"event"``
-    #: (the event-driven kernel of :mod:`repro.sim.events` — the
-    #: columnar slot path plus idle-span skipping between scheduled
-    #: events, bit-exact again; the fast engine for non-saturated,
-    #: idle-heavy workloads).
+    #: Execution engine (:data:`WLAN_ENGINES`).  ``"batched"`` is the
+    #: production path — the event-driven columnar driver of
+    #: :mod:`repro.sim.events`, bit-identical to the
+    #: :class:`ReferenceWLANSimulation` oracle; the name predates that
+    #: driver and is kept because scenario ``params`` store it.
+    #: ``"scalar"``: the per-group evaluator under the reference loop.
     engine: str = "batched"
     #: Arrival process (:func:`repro.sim.traffic.make_traffic` name):
     #: ``"saturated"`` (the paper's infinite-demand regime, default),
@@ -142,6 +147,9 @@ class WLANConfig:
     #: toward; the selector never runs, so its RNG stream is untouched).
     service: str = "iac"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        validate_engine(self.engine)
 
 
 @dataclass(frozen=True)
@@ -317,6 +325,9 @@ class WLANSimulation:
     selector or the other processes.
     """
 
+    #: True on :class:`ReferenceWLANSimulation`, the slot-loop oracle.
+    reference = False
+
     def __init__(
         self,
         config: Optional[WLANConfig] = None,
@@ -344,6 +355,8 @@ class WLANSimulation:
             else None
         )
         self.rng = default_rng(config.seed)
+        #: Whether :meth:`run` takes the production (event-driven) path.
+        self.fast = config.engine == "batched" and not self.reference
 
         self.ap_ids = list(range(config.n_aps))
         self.client_ids = list(range(100, 100 + config.n_clients))
@@ -355,11 +368,11 @@ class WLANSimulation:
         #: The channel substrate, behind the ChannelProvider contract.
         self.fading: ChannelProvider
         if config.channel == "flat":
-            # The columnar engine swaps in a stacked fading network whose
+            # The fast path swaps in a stacked fading network whose
             # construction draws are identical to the per-link reference
             # (same RNG stream, same order) but whose per-slot step is one
             # vectorised draw over every link.
-            if config.engine in ("columnar", "event"):
+            if self.fast:
                 from repro.sim.columnar import ColumnarFadingNetwork
 
                 fading_cls = ColumnarFadingNetwork
@@ -410,10 +423,7 @@ class WLANSimulation:
         #: Scores candidate groups against the leader's believed channels;
         #: the batched engine memoises solutions on the leader's per-client
         #: channel-map versions (see :mod:`repro.engine`).
-        self.evaluator = make_evaluator(
-            config.engine, source=self.leader, aps=self._transmit_aps,
-            alignment=config.alignment,
-        )
+        self.evaluator = self._new_evaluator()
 
         # ---- dynamic-workload wiring (all default-off / saturated) ---- #
         self.traffic = (
@@ -511,6 +521,17 @@ class WLANSimulation:
         self._interference = {
             int(c): float(v) for c, v in (floors or {}).items() if float(v) > 0.0
         }
+
+    def _new_evaluator(self) -> GroupEvaluator:
+        """The leader's evaluator; the oracle's is the plain batched one."""
+        if self.reference and self.config.engine == "batched":
+            return BatchedGroupEvaluator(
+                self.leader, self._transmit_aps, alignment=self.config.alignment
+            )
+        return make_evaluator(
+            self.config.engine, source=self.leader, aps=self._transmit_aps,
+            alignment=self.config.alignment,
+        )
 
     def _derate(self, rate: float, client: int) -> float:
         """A point-to-point rate under the client's interference floor."""
@@ -761,12 +782,7 @@ class WLANSimulation:
         self.leader = new_leader
         if len(self.ap_ids) >= 3:
             self._transmit_aps = tuple(self.ap_ids[:3])
-            self.evaluator = make_evaluator(
-                self.config.engine,
-                source=new_leader,
-                aps=self._transmit_aps,
-                alignment=self.config.alignment,
-            )
+            self.evaluator = self._new_evaluator()
         else:
             self._degraded = True
 
@@ -840,27 +856,20 @@ class WLANSimulation:
         deployment, and ``stats.per_client_rate`` always averages over
         every slot simulated so far.
 
-        Under ``engine="columnar"`` the loop is executed by
-        :func:`repro.sim.columnar.run_columnar` — same trajectory, same
-        RNG stream consumption, bit-identical :class:`WLANStats` (pinned
-        by ``tests/sim/test_columnar_equivalence.py``); under
-        ``engine="event"`` by :func:`repro.sim.events.run_event`, which
-        additionally skips idle spans between scheduled events (pinned
-        by ``tests/sim/test_event_equivalence.py``); every other engine
-        runs the scalar reference loop below.
+        The production path is :func:`repro.sim.events.run_event` (the
+        columnar slot pieces, idle spans skipped): bit-identical
+        :class:`WLANStats` to the reference loop :meth:`_run_scalar`,
+        which ``engine="scalar"`` and :class:`ReferenceWLANSimulation`
+        run themselves.
         """
-        if self.config.engine == "columnar":
-            from repro.sim.columnar import run_columnar
-
-            return run_columnar(self, n_slots, track=track)
-        if self.config.engine == "event":
+        if self.fast:
             from repro.sim.events import run_event
 
             return run_event(self, n_slots, track=track)
         return self._run_scalar(n_slots, track)
 
     def _run_scalar(self, n_slots: int, track: bool = True) -> WLANStats:
-        """The reference slot loop — every fast engine's bit-identity oracle."""
+        """The reference slot loop — the fast path's bit-identity oracle."""
         saturated = self.traffic.saturated
         for _ in range(n_slots):
             slot = self._slot
@@ -940,11 +949,26 @@ class WLANSimulation:
         if self.hub is not None:
             self.stats.frames_lost_backplane = self.hub.frames_lost
             self.stats.frames_delayed_backplane = self.hub.frames_delayed
+        # max(..., 1): a zero-slot first run has nothing to average (and
+        # every cumulative rate is still 0.0).
+        slots = max(self.stats.slots, 1)
         self.stats.per_client_rate = {
-            c: total / self.stats.slots for c, total in self._cumulative_rate.items()
+            c: total / slots for c, total in self._cumulative_rate.items()
         }
         self.stats.per_client_latency = {
             c: self._latency_sum[c] / self._latency_n[c]
             for c in sorted(self._latency_n)
         }
         return self.stats
+
+
+class ReferenceWLANSimulation(WLANSimulation):
+    """The whole-run oracle: the same deployment on the reference
+    implementation of every layer the fast path replaces — per-link
+    :class:`~repro.phy.channel.timevarying.FadingNetwork`, the plain
+    :class:`~repro.engine.BatchedGroupEvaluator` and the scalar slot
+    loop.  Only the benchmark harness and the tests build it (as the
+    input of the ``*_reference`` drivers); no scenario parameter does.
+    """
+
+    reference = True

@@ -31,14 +31,15 @@ class TestGoldenCorpus:
         assert problems == []
 
     def test_engine_pair_entries_are_identical(self):
-        """The committed batched and columnar digests of the same
-        (seed, workload) are equal — the cross-engine contract is
-        visible in the artifact itself, not just in test runs."""
+        """Each single-cell case's fast run and its reference run both
+        equal the committed digest — the fast path and its oracle are
+        pinned by the same artifact."""
         baseline = golden.load_baseline()
-        assert (
-            baseline["wlan_batched_saturated"]
-            == baseline["wlan_columnar_saturated"]
-        )
+        for name in sorted(golden.GOLDEN_WLAN):
+            assert golden.compute_digest(name) == baseline[name], name
+            assert (
+                golden.compute_digest(name, reference=True) == baseline[name]
+            ), name
 
     def test_compare_reports_drift_and_staleness(self):
         computed = {"a": "1", "b": "2"}

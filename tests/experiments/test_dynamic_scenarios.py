@@ -216,6 +216,18 @@ class TestBuildConfig:
             canonical_dynamic_params({"engine": "batched"})
         )
 
+    @pytest.mark.parametrize("scenario", [
+        "load_latency", "city_scale", "fault_resilience", "backplane_loss_sweep",
+    ])
+    def test_removed_engine_param_rejected(self, scenario):
+        """``engine=event`` fails in the canonicaliser (before a sweep
+        keys a cell) and at run time, naming the knob's values."""
+        spec = get_scenario(scenario)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            spec.canonical_params({**spec.default_params, "engine": "event"})
+        with pytest.raises(ValueError, match="engine must be one of"):
+            run_experiment(scenario, n_trials=1, params={"engine": "event"})
+
     def test_bursty_never_on_rejected(self):
         """p_on=0 must surface as ValueError, not ZeroDivisionError."""
         with pytest.raises(ValueError, match="p_on"):

@@ -1,6 +1,8 @@
 """Tests for the parameter-grid sweep engine and its resumable cache."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -329,6 +331,27 @@ class TestSweepCLI:
         assert set(by_churn) == {True, False}
         assert by_churn[False]["summary"]["leaves"]["mean"] == 0.0
         assert by_churn[True]["summary"]["leaves"]["mean"] > 0.0
+
+    def test_removed_engine_rejected_before_any_cell_runs(self, capsys):
+        """`--grid engine=columnar` names the knob and what it accepts."""
+        assert main([
+            "sweep", "load_latency", "--grid", "engine=columnar,event",
+            "--trials", "1", "--no-cache",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "engine" in err and "'scalar', 'batched'" in err
+
+    def test_store_from_before_the_engine_collapse_resumes(self, tmp_path):
+        """A store written by an ``engine=columnar`` sweep, when that was
+        a value, resumes with every cell served (keys never hash engine)."""
+        fixture = Path(__file__).parent / "fixtures" / "load_latency_store.jsonl"
+        cache_path = shutil.copy(fixture, tmp_path / "cells.jsonl")
+        resumed = run_sweep(
+            "load_latency", {"load": [0.3, 0.9]}, n_trials=1,
+            params={"n_slots": 30, "n_clients": 6}, cache=cache_path,
+        )
+        assert resumed.cached_cells == 2
+        assert cache_path.read_bytes() == fixture.read_bytes()
 
     def test_sweep_bad_param_reported(self, toy_scenario, capsys):
         assert main([

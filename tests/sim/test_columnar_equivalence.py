@@ -1,132 +1,30 @@
-"""Columnar-engine bit-identity suite.
+"""Columnar slot pieces and the stacked driver: bit-identity suite.
 
-The columnar fast path (:mod:`repro.sim.columnar`) is only allowed to
-exist because it is *exactly* the scalar slot loop, re-expressed over
-ndarrays.  This suite pins that contract in its strongest form:
-
-* :func:`~repro.sim.columnar.run_columnar` — the ``engine="columnar"``
-  dispatch target of ``WLANSimulation.run`` — produces a ``WLANStats``
-  whose **every field, including the event log,** equals the scalar
-  reference loop :func:`~repro.sim.columnar.run_columnar_reference`
-  bit for bit on the same config and seed;
-* the columnar digest equals the ``engine="batched"`` digest for the
-  same config (the two accelerated engines agree with each other and,
-  transitively, with their shared scalar oracle);
-* :func:`~repro.sim.columnar.run_stacked` — many simulations advanced
-  lock-step around one shared alignment solve per slot — is
-  bit-identical to :func:`~repro.sim.columnar.run_stacked_reference`
-  (independent scalar runs) at any stacking width.
-
-The case grid covers every workload dimension the simulator has: all
-four traffic models, churn, mobility, wideband OFDM channels, all three
-concurrency algorithms, p2p service, and every fault cocktail exercised
-by ``tests/faults`` (backplane loss/burst/delay, CSI corruption and
-staleness, leader crashes, and the everything-at-once cocktail).
+Over the shared grid of ``test_fast_path_equivalence.py``:
+:func:`~repro.sim.columnar.run_columnar` (the pieces slot by slot, no
+skipping) equals the reference loop on the
+:class:`~repro.sim.wlan.ReferenceWLANSimulation` twin in every
+``WLANStats`` field, event log included, and the production ``run()``
+digest; :func:`~repro.sim.events.run_stacked` equals
+:func:`~repro.sim.events.run_stacked_reference` at any stacking width.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.columnar import (
-    run_columnar,
-    run_columnar_reference,
-    run_stacked,
-    run_stacked_reference,
-)
-from repro.sim.wlan import WLANConfig, WLANSimulation
-
-N_SLOTS = 40
-
-
-def config(**overrides):
-    defaults = dict(
-        n_aps=3,
-        n_clients=8,
-        n_antennas=2,
-        rho=0.998,
-        mean_gain_db=15.0,
-        algorithm="best2",
-        seed=11,
-        engine="columnar",
-    )
-    defaults.update(overrides)
-    return WLANConfig(**defaults)
-
-
-#: Every workload dimension: traffic models, population dynamics,
-#: channel models, selectors, service disciplines.
-WORKLOAD_CASES = {
-    "saturated_best2": {},
-    "saturated_fifo": {"algorithm": "fifo"},
-    "saturated_brute": {"algorithm": "brute", "n_clients": 5},
-    "poisson": {
-        "traffic": "poisson",
-        "traffic_params": {"rate_per_client": 0.6},
-    },
-    "bursty": {
-        "traffic": "bursty",
-        "traffic_params": {"rate_on": 0.8, "p_on": 0.1, "p_off": 0.2},
-    },
-    "heterogeneous": {
-        "traffic": "heterogeneous",
-        "traffic_params": {"rates": {0: 0.9, 1: 0.9}, "base_rate": 0.2},
-    },
-    "churn": {"churn_params": {"p_leave": 0.05, "p_join": 0.1}},
-    "mobility": {
-        "mobility_params": {"p_start": 0.2, "p_stop": 0.3, "rho_moving": 0.9}
-    },
-    "wideband": {"channel": "wideband", "n_bins": 2},
-    "p2p": {"service": "p2p"},
-    "big12": {"n_clients": 12, "rho": 0.99},
-}
-
-#: Every fault cocktail ``tests/faults`` exercises, plus the
-#: everything-at-once plan; fault streams must consume identically under
-#: both loops or the trajectories fork.
-FAULT_CASES = {
-    "bp_dead": {"fault_params": {"backplane_loss_rate": 1.0}},
-    "bp_loss": {"fault_params": {"backplane_loss_rate": 0.5}},
-    "bp_delay": {
-        "fault_params": {"backplane_delay_rate": 1.0, "backplane_delay_max": 2}
-    },
-    "csi_corrupt": {"fault_params": {"csi_corrupt_rate": 0.3}},
-    "csi_stale": {"fault_params": {"csi_stale_rate": 0.5}},
-    "leader_crash_4ap": {
-        "n_aps": 4,
-        "fault_params": {"leader_crash_slot": 20},
-    },
-    "leader_crash_3ap": {
-        "fault_params": {"leader_crash_slot": 10},
-    },
-    "full_cocktail": {
-        "n_aps": 4,
-        "fault_params": {
-            "backplane_loss_rate": 0.1,
-            "burst_enter": 0.05,
-            "burst_exit": 0.3,
-            "backplane_delay_rate": 0.1,
-            "backplane_delay_max": 2,
-            "csi_corrupt_rate": 0.1,
-            "csi_stale_rate": 0.1,
-            "leader_crash_slot": 20,
-        },
-    },
-}
-
-ALL_CASES = {**WORKLOAD_CASES, **FAULT_CASES}
+from repro.sim.columnar import run_columnar, run_columnar_reference
+from repro.sim.events import run_stacked, run_stacked_reference
+from repro.sim.wlan import ReferenceWLANSimulation, WLANSimulation
+from test_fast_path_equivalence import ALL_CASES, N_SLOTS, config
 
 
 @pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_columnar_equals_scalar_reference(name):
     """Full-WLANStats equality: every counter, rate, and event."""
-    overrides = ALL_CASES[name]
-    columnar = run_columnar(WLANSimulation(config(**overrides)), N_SLOTS)
-    reference = run_columnar_reference(
-        WLANSimulation(config(**overrides)), N_SLOTS
-    )
+    cfg = config(**ALL_CASES[name])
+    columnar = run_columnar(WLANSimulation(cfg), N_SLOTS)
+    reference = run_columnar_reference(ReferenceWLANSimulation(cfg), N_SLOTS)
     # Field-by-field (the dict compares floats bit-exactly via ==), then
     # the event log explicitly — ordering included.
     assert columnar.to_dict() == reference.to_dict()
@@ -136,11 +34,11 @@ def test_columnar_equals_scalar_reference(name):
 
 @pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_columnar_digest_equals_batched(name):
-    """The two accelerated engines agree bit-for-bit with each other."""
-    overrides = ALL_CASES[name]
-    columnar = WLANSimulation(config(**overrides)).run(N_SLOTS)
-    batched = WLANSimulation(config(engine="batched", **overrides)).run(N_SLOTS)
-    assert columnar.digest() == batched.digest()
+    """The per-slot pieces and the production run agree bit for bit."""
+    cfg = config(**ALL_CASES[name])
+    columnar = run_columnar(WLANSimulation(cfg), N_SLOTS)
+    production = WLANSimulation(cfg).run(N_SLOTS)
+    assert columnar.digest() == production.digest()
 
 
 def _mixed_configs():
@@ -150,32 +48,33 @@ def _mixed_configs():
         config(seed=4, n_clients=12, rho=0.99),
         config(seed=5, traffic="poisson", traffic_params={"rate_per_client": 0.6}),
         config(seed=6, churn_params={"p_leave": 0.05, "p_join": 0.1}),
+        config(seed=7, traffic="poisson", traffic_params={"rate_per_client": 0.02}),
     ]
 
 
 def test_run_stacked_equals_reference():
-    """Lock-step stacking never couples trials: bit-identical stats."""
+    """Stacking never couples trials: bit-identical stats."""
     stacked = run_stacked([WLANSimulation(c) for c in _mixed_configs()], N_SLOTS)
     reference = run_stacked_reference(
-        [WLANSimulation(c) for c in _mixed_configs()], N_SLOTS
+        [ReferenceWLANSimulation(c) for c in _mixed_configs()], N_SLOTS
     )
     assert [s.digest() for s in stacked] == [r.digest() for r in reference]
 
 
 def test_run_stacked_width_invariance():
-    """Each member's stats equal its solo columnar run, at any width."""
+    """Each member's stats equal its solo production run, at any width."""
     stacked = run_stacked([WLANSimulation(c) for c in _mixed_configs()], N_SLOTS)
-    solo = [run_columnar(WLANSimulation(c), N_SLOTS) for c in _mixed_configs()]
+    solo = [WLANSimulation(c).run(N_SLOTS) for c in _mixed_configs()]
     assert [s.to_dict() for s in stacked] == [r.to_dict() for r in solo]
 
 
 def test_run_stacked_degrades_for_non_columnar_members():
-    """Non-columnar members just run unstacked — same bits, no error."""
-    configs = [config(seed=3), dataclasses.replace(config(seed=4), engine="batched")]
-    stacked = run_stacked([WLANSimulation(c) for c in configs], N_SLOTS)
-    reference = run_stacked_reference(
-        [WLANSimulation(c) for c in configs], N_SLOTS
-    )
+    """Members off the fast path run their own loop — same bits, no error."""
+    members = [(WLANSimulation, ReferenceWLANSimulation, config(seed=3)),
+               (ReferenceWLANSimulation, ReferenceWLANSimulation, config(seed=4)),
+               (WLANSimulation, WLANSimulation, config(seed=5, engine="scalar"))]
+    stacked = run_stacked([cls(c) for cls, _, c in members], N_SLOTS)
+    reference = run_stacked_reference([ref(c) for _, ref, c in members], N_SLOTS)
     assert [s.digest() for s in stacked] == [r.digest() for r in reference]
 
 
@@ -193,8 +92,7 @@ def test_columnar_equivalence_property(seed, n_clients, rho, algorithm, traffic)
     if traffic == "poisson":
         overrides["traffic"] = "poisson"
         overrides["traffic_params"] = {"rate_per_client": 0.5}
-    columnar = run_columnar(WLANSimulation(config(**overrides)), 25)
-    reference = run_columnar_reference(
-        WLANSimulation(config(**overrides)), 25
-    )
+    cfg = config(**overrides)
+    columnar = run_columnar(WLANSimulation(cfg), 25)
+    reference = run_columnar_reference(ReferenceWLANSimulation(cfg), 25)
     assert columnar.digest() == reference.digest()

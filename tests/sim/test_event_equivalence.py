@@ -1,74 +1,24 @@
-"""Event-kernel bit-identity suite.
+"""Production event driver: bit-identity suite.
 
-The event-driven kernel (:mod:`repro.sim.events`) is only allowed to
-exist because it is *exactly* the slot loop with the idle slots fast-
-forwarded.  This suite pins that contract in its strongest form:
-
-* :func:`~repro.sim.events.run_event` — the ``engine="event"`` dispatch
-  target of ``WLANSimulation.run`` — produces a ``WLANStats`` whose
-  **every field, including the event log,** equals the scalar slot loop
-  :func:`~repro.sim.events.run_event_reference` bit for bit on the same
-  config and seed;
-* the event digest equals the ``engine="columnar"`` digest for the same
-  config (the two fast engines agree with each other and, transitively,
-  with the shared scalar oracle);
-* splitting a run across multiple ``run()`` calls lands on the same
-  bits as one slot-loop run (the kernel's resume path rebuilds state
-  exactly);
-* the multicell layer accepts ``engine="event"`` per cell and matches
-  its own columnar digest.
-
-The case grid is the columnar suite's (every traffic model, churn,
-mobility, wideband, p2p, every fault cocktail) plus the event-specific
-regimes: sparse Poisson loads where skipping dominates, and sounding
-periods bracketing the ack cadence.
+:func:`~repro.sim.events.run_event` — what ``WLANSimulation.run``
+executes — is the columnar slot pieces with idle slots fast-forwarded.
+Over the shared grid of ``test_fast_path_equivalence.py`` plus the
+sparse regimes where skipping dominates, it equals the reference loop
+on the :class:`~repro.sim.wlan.ReferenceWLANSimulation` twin in every
+``WLANStats`` field, matches the per-slot ``run_columnar`` digest,
+resumes split runs exactly, and drives a sparse-load city whose
+stacked shards match reference cells.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import multicell
+from repro.sim.columnar import run_columnar
 from repro.sim.events import run_event, run_event_reference
-from repro.sim.wlan import WLANConfig, WLANSimulation
-from test_columnar_equivalence import ALL_CASES, config
-
-N_SLOTS = 40
-
-#: Event-specific regimes on top of the columnar grid: sparse arrivals
-#: (long idle gaps — the whole point of the kernel) and sounding
-#: cadences on both sides of the default.
-EVENT_CASES = {
-    "poisson_sparse": {
-        "traffic": "poisson",
-        "traffic_params": {"rate_per_client": 0.05},
-    },
-    "poisson_very_sparse": {
-        "traffic": "poisson",
-        "traffic_params": {"rate_per_client": 0.005},
-    },
-    "sparse_ack_every_slot": {
-        "ack_period": 1,
-        "traffic": "poisson",
-        "traffic_params": {"rate_per_client": 0.02},
-    },
-    "sparse_ack_rare": {
-        "ack_period": 16,
-        "traffic": "poisson",
-        "traffic_params": {"rate_per_client": 0.02},
-    },
-    "sparse_churn_mobility": {
-        "traffic": "poisson",
-        "traffic_params": {"rate_per_client": 0.05},
-        "churn_params": {"p_leave": 0.05, "p_join": 0.1},
-        "mobility_params": {"p_start": 0.2, "p_stop": 0.3, "rho_moving": 0.9},
-    },
-    "bursty_quiet": {
-        "traffic": "bursty",
-        "traffic_params": {"rate_on": 0.6, "p_on": 0.02, "p_off": 0.5},
-    },
-}
-
-EVENT_ALL_CASES = {**ALL_CASES, **EVENT_CASES}
+from repro.sim.wlan import ReferenceWLANSimulation, WLANSimulation
+from test_fast_path_equivalence import EVENT_ALL_CASES, N_SLOTS, config
 
 #: Long-trajectory subset: cases whose interesting dynamics (churn
 #: evictions, fault windows, drift reports) need room to unfold.
@@ -83,11 +33,9 @@ LONG_CASES = (
 @pytest.mark.parametrize("name", sorted(EVENT_ALL_CASES))
 def test_event_equals_scalar_reference(name):
     """Full-WLANStats equality: every counter, rate, and event."""
-    overrides = {**EVENT_ALL_CASES[name], "engine": "event"}
-    event = run_event(WLANSimulation(config(**overrides)), N_SLOTS)
-    reference = run_event_reference(
-        WLANSimulation(config(**overrides)), N_SLOTS
-    )
+    cfg = config(**EVENT_ALL_CASES[name])
+    event = run_event(WLANSimulation(cfg), N_SLOTS)
+    reference = run_event_reference(ReferenceWLANSimulation(cfg), N_SLOTS)
     assert event.to_dict() == reference.to_dict()
     assert event.events == reference.events
     assert event.digest() == reference.digest()
@@ -95,48 +43,44 @@ def test_event_equals_scalar_reference(name):
 
 @pytest.mark.parametrize("name", sorted(EVENT_ALL_CASES))
 def test_event_digest_equals_columnar(name):
-    """The two fast engines agree bit-for-bit with each other."""
-    overrides = EVENT_ALL_CASES[name]
-    event = WLANSimulation(config(engine="event", **overrides)).run(N_SLOTS)
-    columnar = WLANSimulation(config(**overrides)).run(N_SLOTS)
+    """Skipping idle spans never moves a number."""
+    cfg = config(**EVENT_ALL_CASES[name])
+    event = WLANSimulation(cfg).run(N_SLOTS)
+    columnar = run_columnar(WLANSimulation(cfg), N_SLOTS)
     assert event.digest() == columnar.digest()
 
 
 @pytest.mark.parametrize("name", LONG_CASES)
 def test_event_long_trajectory(name):
     """200-slot runs: enough room for churn/fault/drift interleavings."""
-    overrides = EVENT_ALL_CASES[name]
-    event = WLANSimulation(config(engine="event", **overrides)).run(200)
-    columnar = WLANSimulation(config(**overrides)).run(200)
-    assert event.to_dict() == columnar.to_dict()
-    assert event.events == columnar.events
+    cfg = config(**EVENT_ALL_CASES[name])
+    event = WLANSimulation(cfg).run(200)
+    reference = ReferenceWLANSimulation(cfg).run(200)
+    assert event.to_dict() == reference.to_dict()
+    assert event.events == reference.events
 
 
 def test_event_split_run_equals_single_run():
-    """run(70) + run(130) rebuilds kernel state onto the same bits."""
-    overrides = EVENT_ALL_CASES["sparse_churn_mobility"]
-    split = WLANSimulation(config(engine="event", **overrides))
+    """run(70) + run(130) rebuilds driver state onto the same bits."""
+    cfg = config(**EVENT_ALL_CASES["sparse_churn_mobility"])
+    split = WLANSimulation(cfg)
     split.run(70)
     stats = split.run(130)
-    whole = WLANSimulation(config(**overrides)).run(200)
+    whole = ReferenceWLANSimulation(cfg).run(200)
     assert stats.digest() == whole.digest()
 
 
 def test_event_summary_accounts_for_every_slot():
     """processed + skipped == n_slots, and saturation never skips."""
     sparse = WLANSimulation(
-        config(
-            engine="event",
-            traffic="poisson",
-            traffic_params={"rate_per_client": 0.02},
-        )
+        config(traffic="poisson", traffic_params={"rate_per_client": 0.02})
     )
     sparse.run(200)
     summary = sparse.last_event_summary
     assert summary["processed_slots"] + summary["skipped_slots"] == 200
     assert summary["skipped_slots"] > 0
 
-    saturated = WLANSimulation(config(engine="event"))
+    saturated = WLANSimulation(config())
     saturated.run(50)
     assert saturated.last_event_summary == {
         "processed_slots": 50,
@@ -144,24 +88,16 @@ def test_event_summary_accounts_for_every_slot():
     }
 
 
-def test_multicell_cells_can_run_event_engine():
-    """Per-cell event engines match the multicell columnar digest."""
+def test_multicell_cells_can_run_event_engine(monkeypatch):
+    """Sparse-load city: stacked, skipping shards match reference cells."""
     from repro.sim.multicell import MultiCellConfig, MultiCellSimulation
 
-    def run(engine):
-        sim = MultiCellSimulation(
-            MultiCellConfig(
-                n_cells=4,
-                clients_per_cell=4,
-                engine=engine,
-                traffic="poisson",
-                load=0.1,
-                seed=5,
-            )
-        )
-        return sim.run(30)
-
-    assert run("event").digest() == run("columnar").digest()
+    cfg = MultiCellConfig(
+        n_cells=4, clients_per_cell=4, traffic="poisson", load=0.1, seed=5
+    )
+    fast = MultiCellSimulation(cfg).run(30)
+    monkeypatch.setattr(multicell, "WLANSimulation", ReferenceWLANSimulation)
+    assert fast.digest() == MultiCellSimulation(cfg).run(30).digest()
 
 
 @settings(deadline=None, max_examples=12)
@@ -172,14 +108,14 @@ def test_multicell_cells_can_run_event_engine():
     ack_period=st.sampled_from([1, 4, 16]),
 )
 def test_event_equivalence_property(seed, n_clients, load, ack_period):
-    """Any (seed, population, load, cadence): same digest as columnar."""
-    overrides = dict(
+    """Any (seed, population, load, cadence): the reference digest."""
+    cfg = config(
         seed=seed,
         n_clients=n_clients,
         ack_period=ack_period,
         traffic="poisson",
         traffic_params={"rate_per_client": load},
     )
-    event = WLANSimulation(config(engine="event", **overrides)).run(25)
-    columnar = WLANSimulation(config(**overrides)).run(25)
-    assert event.digest() == columnar.digest()
+    event = WLANSimulation(cfg).run(25)
+    reference = ReferenceWLANSimulation(cfg).run(25)
+    assert event.digest() == reference.digest()

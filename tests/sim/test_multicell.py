@@ -109,6 +109,8 @@ class TestPartition:
             build_partition(tiny_config(cell_radius=0.6))
         with pytest.raises(ValueError, match="edge_fraction"):
             build_partition(tiny_config(edge_fraction=1.5))
+        with pytest.raises(ValueError, match="engine must be one of"):
+            tiny_config(engine="columnar")
 
 
 class TestCellSeeds:

@@ -60,6 +60,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             WLANSimulation(WLANConfig(engine="quantum"))
 
+    @pytest.mark.parametrize("engine", ["columnar", "event"])
+    def test_removed_engines_rejected_at_config(self, engine):
+        """The driver names are gone from the knob: fail at construction."""
+        with pytest.raises(ValueError, match="engine must be one of 'scalar', 'batched'"):
+            WLANConfig(engine=engine)
+
 
 class TestConfigIsolation:
     def test_default_config_is_not_shared(self):
