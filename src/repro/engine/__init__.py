@@ -25,11 +25,11 @@ replaces that with two orthogonal optimisations behind one interface:
   re-solved — and a single drift report invalidates exactly the cached
   groups containing the drifted client.
 
-The scalar reference path is kept as
-:class:`~repro.engine.evaluator.ScalarGroupEvaluator`;
-``tests/engine/test_evaluator.py`` asserts numerical equivalence of the
-two on random channel sets for all selectors and 2-4 antennas.
-:mod:`repro.engine.bench` times both engines (``python -m repro bench``)
+The scalar reference path is kept as a test oracle,
+:class:`~repro.engine.evaluator.ScalarGroupEvaluator`; it agrees with
+the batched path to a few ulps, not bit for bit, as
+``tests/engine/test_evaluator.py`` pins (all selectors, 2-4 antennas).
+:mod:`repro.engine.bench` times both (``python -m repro bench``)
 and records the speedup trajectory in ``BENCH_*.json`` files.
 """
 
@@ -51,7 +51,6 @@ from repro.engine.evaluator import (
     GroupEvaluator,
     ScalarGroupEvaluator,
     StaticChannelSource,
-    make_evaluator,
 )
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "downlink_sinrs_batch",
     "downlink_transmit_sinrs_band",
     "downlink_transmit_sinrs_cached",
-    "make_evaluator",
     "solve_downlink_three_band",
     "solve_downlink_three_batch",
     "stack_downlink_channels",

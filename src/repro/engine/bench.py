@@ -5,16 +5,17 @@ JSON document each, so the repository's performance trajectory is
 recorded alongside its correctness results:
 
 * :func:`bench_wlan` times, on identical seeds, the reference slot loop
-  with the per-group (``scalar``) and the plain batched (``batched``,
-  :class:`~repro.sim.wlan.ReferenceWLANSimulation`) evaluator against
-  the per-slot columnar pieces (``columnar``,
+  with the per-group (``scalar``,
+  :class:`~repro.sim.wlan.ScalarReferenceWLANSimulation`) and the plain
+  batched (``batched``, :class:`~repro.sim.wlan.ReferenceWLANSimulation`)
+  evaluator against the per-slot columnar pieces (``columnar``,
   :func:`~repro.sim.columnar.run_columnar`), reporting both speedups,
   each ``WLANStats.digest()`` and ``bit_identical`` (columnar ==
   batched, bit for bit).  The default workload
   (200 slots, 12 clients) is the acceptance workload of the engine and
   columnar PRs; ``BENCH_wlan.json``.
 * :func:`bench_events` (``repro bench --events``) times the production
-  event driver (:func:`~repro.sim.events.run_event`) against the
+  event driver (``WLANSimulation.run``) against the
   per-slot columnar loop as a function of offered load on a
   sounding-dominated cell,
   records busy-slots-processed per second, and checks per-point digest
@@ -99,20 +100,22 @@ def bench_wlan(
     PR's >= 10x acceptance number).
     """
     # Deferred: keep import light.
+    from repro.sim import wlan
     from repro.sim.columnar import run_columnar
-    from repro.sim.wlan import ReferenceWLANSimulation, WLANConfig, WLANSimulation
+
+    config = wlan.WLANConfig(
+        n_clients=n_clients, n_antennas=n_antennas, rho=rho, seed=seed,
+        algorithm=algorithm,
+    )
+    oracles = {"scalar": wlan.ScalarReferenceWLANSimulation,
+               "batched": wlan.ReferenceWLANSimulation}
 
     def driver(engine: str):
         """A fresh simulation's ``n_slots -> WLANStats`` callable."""
-        config = WLANConfig(
-            n_clients=n_clients, n_antennas=n_antennas, rho=rho, seed=seed,
-            algorithm=algorithm, engine="scalar" if engine == "scalar" else "batched",
-        )
         if engine == "columnar":
-            sim = WLANSimulation(config)
+            sim = wlan.WLANSimulation(config)
             return lambda n: run_columnar(sim, n)
-        cls = ReferenceWLANSimulation if engine == "batched" else WLANSimulation
-        return cls(config).run
+        return oracles[engine](config).run
 
     engines: Dict[str, Dict[str, object]] = {}
     for engine in ("scalar", "batched", "columnar"):
@@ -184,7 +187,6 @@ def bench_events(
     """
     # Deferred: keep import light.
     from repro.sim.columnar import run_columnar
-    from repro.sim.events import run_event
     from repro.sim.wlan import WLANConfig, WLANSimulation
 
     def time_driver(run, load, n_rep: int):
@@ -217,7 +219,9 @@ def bench_events(
 
     def point(load, n_rep: int = repeats) -> dict:
         col_seconds, col_digest, _ = time_driver(run_columnar, load, n_rep)
-        ev_seconds, ev_digest, summary = time_driver(run_event, load, n_rep)
+        ev_seconds, ev_digest, summary = time_driver(
+            lambda sim, n: sim.run(n), load, n_rep
+        )
         entry = {
             "columnar_seconds": col_seconds,
             "event_seconds": ev_seconds,

@@ -9,11 +9,13 @@ transmits.  Two implementations share the interface:
 * :class:`ScalarGroupEvaluator` — the reference path: one
   :func:`~repro.core.alignment.solve_downlink_three_packets` +
   :func:`~repro.core.decoder.decode_rate_level` per call, exactly what
-  ``WLANSimulation`` inlined before the engine existed;
+  ``WLANSimulation`` inlined before the engine existed; a test oracle
+  (:class:`~repro.sim.wlan.ScalarReferenceWLANSimulation`);
 * :class:`BatchedGroupEvaluator` — stacks all not-yet-cached groups of a
   probe into one ndarray batch (:mod:`repro.engine.batched`) and memoises
   per-group solutions keyed on the channel-map versions of the group's
   clients, so unchanged groups are never re-solved between drift reports.
+  Every ``WLANSimulation`` builds its :class:`ColumnarGroupEvaluator`.
 
 Evaluators are also plain callables (``evaluator(group) -> rate``), so they
 drop into any API expecting the legacy scorer-callable contract.
@@ -539,7 +541,7 @@ class ColumnarGroupEvaluator(BatchedGroupEvaluator):
     The mirror only covers flat (one-bin) sources; a genuinely banded
     source falls back to the parent's wideband route wholesale.  Two
     extra hooks — :meth:`uncached` + :meth:`insert_solved` — let the
-    stacked multi-simulation driver (:func:`repro.sim.columnar.run_stacked`)
+    stacked multi-simulation driver (:func:`repro.sim.events.run_stacked`)
     pull many simulations' missing groups into **one** shared
     ``np.linalg`` solve and scatter the entries back; batch-slice
     invariance of the solver makes the shared solve bit-identical to the
@@ -720,32 +722,3 @@ class ColumnarGroupEvaluator(BatchedGroupEvaluator):
             h_true, h_bel, entry.encodings, self.noise_power
         )
 
-
-def make_evaluator(
-    name: str,
-    source: ChannelSource,
-    aps: Sequence[int],
-    noise_power: float = 1.0,
-    alignment: str = "per_subcarrier",
-) -> GroupEvaluator:
-    """Factory for the two engines: ``"batched"`` or ``"scalar"``.
-
-    ``"batched"`` is the production evaluator: the memoised batched
-    engine plus the believed-channel mirror the columnar slot pieces and
-    the stacked driver consume (:class:`ColumnarGroupEvaluator`).  Its
-    oracle, the plain :class:`BatchedGroupEvaluator`, is built directly
-    by :class:`~repro.sim.wlan.ReferenceWLANSimulation`.  ``"scalar"`` is
-    the per-group reference path (:class:`ScalarGroupEvaluator`).
-
-    ``alignment`` selects the wideband strategy (``"per_subcarrier"`` or
-    ``"flat_anchor"``); it only matters when the channel source carries
-    banded (``(B, M, M)``) believed channels.
-    """
-    key = name.lower()
-    if key == "batched":
-        return ColumnarGroupEvaluator(source, aps, noise_power, alignment)
-    if key == "scalar":
-        return ScalarGroupEvaluator(source, aps, noise_power, alignment)
-    raise ValueError(
-        f"unknown engine {name!r}: engine must be one of 'scalar', 'batched'"
-    )

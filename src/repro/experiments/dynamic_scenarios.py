@@ -34,9 +34,9 @@ import numpy as np
 
 from repro.baselines.dot11_mimo import per_client_rates
 from repro.core.plans import ChannelSet
-from repro.experiments.registry import TrialContext, register_scenario
+from repro.experiments.registry import TrialContext, check_engine, register_scenario
 from repro.experiments.results import ExperimentResult
-from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats, validate_engine
+from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats
 
 #: Downlink groups carry up to three packets per slot (Lemma 5.2, M=2).
 _SERVICE_CAPACITY = 3
@@ -82,11 +82,10 @@ def canonical_dynamic_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
             # One bin is its own anchor: both alignment modes run the
             # identical flat route.
             q.pop("alignment", None)
-    # The group-evaluation engines are numerically equivalent (pinned by
-    # tests/engine/test_evaluator.py), so the engine choice affects
-    # timing only — never the numbers — and stays out of the identity.
-    # An unknown engine raises here, before a sweep keys any cell.
-    validate_engine(q.pop("engine", "batched"))
+    # ``engine`` has one value and stays out of the identity.  The retired
+    # "scalar" moved rates by a few ulps, so it must fail, not collapse.
+    check_engine(q)
+    q.pop("engine", None)
     return q
 
 
@@ -155,6 +154,7 @@ def _traffic_spec(p: Mapping[str, Any], n_clients: int):
 
 def build_wlan_config(p: Mapping[str, Any], seed: int) -> WLANConfig:
     """A ``WLANConfig`` from a flat, JSON-scalar scenario parameter map."""
+    check_engine(p)
     n_clients = int(p["n_clients"])
     traffic, traffic_params = _traffic_spec(p, n_clients)
     churn_params = None
@@ -178,7 +178,6 @@ def build_wlan_config(p: Mapping[str, Any], seed: int) -> WLANConfig:
         rho=float(p.get("rho", 0.998)),
         mean_gain_db=float(p.get("mean_gain_db", 15.0)),
         algorithm=str(p.get("algorithm", "best2")),
-        engine=str(p.get("engine", "batched")),
         traffic=traffic,
         traffic_params=traffic_params,
         churn_params=churn_params,

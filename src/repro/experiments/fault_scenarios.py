@@ -17,9 +17,9 @@ Two registered scenarios probe the robustness layer
   0 at loss 0, exactly 1 at loss 1 (the graceful-degradation contract —
   a dead backplane *is* the p2p floor, never a crash).
 
-Every knob is a flat JSON scalar so both scenarios sweep cleanly;
-``workers`` and ``engine`` are execution knobs stripped from sweep
-identity by the canonicalizers.
+Every knob is a flat JSON scalar so both scenarios sweep cleanly; the
+canonicalizers strip ``workers`` (never changes the numbers) and
+``engine`` (has one value) from sweep identity.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from repro.experiments.multicell_scenarios import (
     build_multicell_config,
     canonical_city_params,
 )
-from repro.experiments.registry import TrialContext, register_scenario
+from repro.experiments.registry import TrialContext, check_engine, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.sim.multicell import MultiCellSimulation
-from repro.sim.wlan import WLANConfig, WLANSimulation, validate_engine
+from repro.sim.wlan import WLANConfig, WLANSimulation
 
 #: FaultPlan knobs both scenarios expose as flat scenario parameters.
 _FAULT_KNOBS = (
@@ -173,10 +173,10 @@ _LOSS_SWEEP_DEFAULTS = {
 
 
 def canonical_loss_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
-    """``engine`` picks numerically-equivalent evaluators: strip it
-    (after checking it names one)."""
+    """``engine`` has one value: strip it (after rejecting any other)."""
     q = dict(p)
-    validate_engine(q.pop("engine", "batched"))
+    check_engine(q)
+    q.pop("engine", None)
     return q
 
 
@@ -223,6 +223,7 @@ def backplane_loss_trial(ctx: TrialContext) -> Dict[str, float]:
     (where the faulted run *is* the p2p floor, bit for bit).
     """
     p = ctx.params
+    check_engine(p)
     base = WLANConfig(
         n_aps=int(p["n_aps"]),
         n_clients=int(p["n_clients"]),
@@ -230,7 +231,6 @@ def backplane_loss_trial(ctx: TrialContext) -> Dict[str, float]:
         rho=float(p["rho"]),
         mean_gain_db=float(p["mean_gain_db"]),
         algorithm=str(p["algorithm"]),
-        engine=str(p["engine"]),
         seed=int(ctx.rng.integers(2**31 - 1)),
     )
     n_slots = int(p["n_slots"])

@@ -14,32 +14,30 @@ including ``n_cells``, ``aps_per_cell``, ``clients_per_cell`` and
 *execution* knob: the multi-cell run is bit-identical for any worker
 count (each cell's seed is an identity hash and boundary floors are
 computed centrally at each barrier), so the canonicalizer strips it
-from the sweep identity alongside ``engine``.
+from the sweep identity alongside ``engine``, which has one value.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-from repro.experiments.registry import TrialContext, register_scenario
+from repro.experiments.registry import TrialContext, check_engine, register_scenario
 from repro.experiments.results import ExperimentResult
 from repro.sim.multicell import MultiCellConfig, MultiCellSimulation
-from repro.sim.wlan import validate_engine
 
 
 def canonical_city_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
     """Strip knobs that cannot change the computed numbers.
 
     ``workers`` shards the same deterministic trajectory; ``engine``
-    picks between numerically-equivalent evaluators; ``load`` is unread
-    under saturated traffic.  None of them may enter a sweep cell's
-    identity hash, or sweeping them would present seed noise as effect.
-    An ``engine`` outside :data:`~repro.sim.wlan.WLAN_ENGINES` raises
-    here, before a sweep keys (or serves from cache) any cell.
+    accepts one value and selects nothing; ``load`` is unread under
+    saturated traffic.  None of them may enter a sweep cell's identity
+    hash, or sweeping them would present seed noise as effect.
     """
     q = dict(p)
     q.pop("workers", None)
-    validate_engine(q.pop("engine", "batched"))
+    check_engine(q)
+    q.pop("engine", None)
     if str(q.get("traffic", "poisson")) == "saturated":
         q.pop("load", None)
     return q
@@ -47,6 +45,7 @@ def canonical_city_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
 
 def build_multicell_config(p: Mapping[str, Any], seed: int) -> MultiCellConfig:
     """A ``MultiCellConfig`` from a flat, JSON-scalar parameter map."""
+    check_engine(p)
     return MultiCellConfig(
         n_cells=int(p.get("n_cells", 64)),
         aps_per_cell=int(p.get("aps_per_cell", 3)),
@@ -55,7 +54,6 @@ def build_multicell_config(p: Mapping[str, Any], seed: int) -> MultiCellConfig:
         rho=float(p.get("rho", 0.998)),
         mean_gain_db=float(p.get("mean_gain_db", 15.0)),
         algorithm=str(p.get("algorithm", "best2")),
-        engine=str(p.get("engine", "batched")),
         traffic=str(p.get("traffic", "poisson")),
         load=float(p.get("load", 0.7)),
         coupling_gain_db=float(p.get("coupling_gain_db", -10.0)),

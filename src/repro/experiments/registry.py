@@ -54,6 +54,21 @@ Formatter = Callable[..., str]
 Canonicalizer = Callable[[Mapping[str, Any]], Mapping[str, Any]]
 
 
+#: The one value the WLAN scenarios' ``engine`` parameter accepts: it
+#: selects nothing, but ``result.params`` (so every pinned digest) has it.
+WLAN_ENGINE = "batched"
+
+
+def check_engine(params: Mapping[str, Any]) -> None:
+    """Reject an ``engine`` other than :data:`WLAN_ENGINE` — before a
+    sweep keys, serves or stores a cell, and before a trial runs."""
+    engine = params.get("engine", WLAN_ENGINE)
+    if engine != WLAN_ENGINE:
+        raise ValueError(
+            f"unknown engine {engine!r}: engine accepts only {WLAN_ENGINE!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A registered, reproducible experiment."""

@@ -610,7 +610,7 @@ def run_columnar(sim, n_slots: int, track: bool = True):
 
     Same trajectory, same RNG stream consumption, bit-identical
     :class:`~repro.sim.wlan.WLANStats`; the production driver is this
-    loop plus idle-span skipping (:func:`repro.sim.events.run_event`).
+    loop plus idle-span skipping (:func:`repro.sim.events.run_stacked`).
     """
     state = _ColumnarState(sim)
     saturated = sim.traffic.saturated

@@ -1,8 +1,8 @@
 """The production slot driver: skip the slots where nothing happens.
 
-:func:`run_event` executes ``WLANSimulation.run`` by advancing simulated
-time in jumps; :func:`run_stacked` does the same for many simulations
-at once, pooling the solves of those that wake on the same slot.  A
+:func:`run_stacked` executes ``WLANSimulation.run`` by advancing
+simulated time in jumps, for one simulation or for many at once,
+pooling the solves of those that wake on the same slot.  A
 slot-synchronous loop pays for every slot even when the queue is empty
 and no process fires — exactly the regime dynamic, non-saturated
 workloads live in.  This driver instead maintains a priority queue of
@@ -77,9 +77,9 @@ per-slot columnar path of :func:`~repro.sim.columnar.run_columnar`, the
 channels and non-scannable traffic states (a bursty chain with an ON
 client) fall back to the per-slot columnar path — slower, never wrong.
 
-Equivalence contract: ``run_event`` and ``run_stacked`` must equal
-``run_event_reference`` / ``run_stacked_reference`` on the reference
-twins (fresh sims either way) field for field — pinned by the
+Equivalence contract: ``run_stacked`` must equal
+``run_stacked_reference`` on the reference twins (fresh sims either
+way) field for field — pinned by the
 ``tests/sim/test_*_equivalence.py`` suites, the golden-digest corpus
 and the ``engine-pair`` lint rule.
 """
@@ -105,8 +105,6 @@ from repro.sim.columnar import (
 __all__ = [
     "EVENT_KINDS",
     "EventQueue",
-    "run_event",
-    "run_event_reference",
     "run_stacked",
     "run_stacked_reference",
 ]
@@ -514,21 +512,15 @@ def run_stacked(sims: Sequence, n_slots: int, track: bool = True):
     into **one** stacked solve (:func:`~repro.sim.columnar._shared_solve`),
     then resolve and finish their slots.  Per-simulation state is fully
     independent and the solver is batch-slice invariant, so the stats
-    list is bit-identical to ``[sim.run(n_slots) for sim in sims]`` at
-    any stacking width.  Simulations off the fast path
-    (``engine="scalar"``, the reference twin) run their own ``run()``.
+    list is bit-identical to each simulation run alone at any stacking
+    width.  ``WLANSimulation.run`` is this call on a one-element list.
+    The processed/skipped slot split of each simulation's run is left on
+    its ``last_event_summary``.
     """
-    sims = list(sims)
-    out = [None] * len(sims)
-    runs: List[Tuple[int, _EventKernel]] = []
-    for i, sim in enumerate(sims):
-        if sim.fast:
-            runs.append((i, _EventKernel(sim, n_slots, track)))
-        else:
-            out[i] = sim.run(n_slots, track)
-    for _, k in runs:
+    kernels = [_EventKernel(sim, n_slots, track) for sim in sims]
+    for k in kernels:
         k.skip_idle()
-    live = [k for _, k in runs if k.sim._slot < k.end]
+    live = [k for k in kernels if k.sim._slot < k.end]
     while live:
         t = min(k.offset for k in live)
         woken = [k for k in live if k.offset == t]
@@ -542,29 +534,10 @@ def run_stacked(sims: Sequence, n_slots: int, track: bool = True):
         for k, pending, mark in zip(woken, pendings, marks):
             k.complete_slot(pending, mark)
         live = [k for k in live if k.sim._slot < k.end]
-    for i, k in runs:
-        out[i] = k.finish()
-    return out
+    return [k.finish() for k in kernels]
 
 
 def run_stacked_reference(sims: Sequence, n_slots: int, track: bool = True):
     """Per-simulation scalar runs (the stacked driver's oracle)."""
     return [sim._run_scalar(n_slots, track) for sim in sims]
 
-
-def run_event(sim, n_slots: int, track: bool = True):
-    """Event-driven execution of ``sim.run(n_slots, track)``.
-
-    Same trajectory, same RNG stream consumption, bit-identical
-    :class:`~repro.sim.wlan.WLANStats`; ``WLANSimulation.run`` dispatches
-    here on the fast path.  Saturated traffic never idles, so every slot
-    is processed (the per-slot columnar path of
-    :func:`~repro.sim.columnar.run_columnar`).  The processed/skipped
-    slot split of the last run is left on ``sim.last_event_summary``.
-    """
-    return run_stacked([sim], n_slots, track)[0]
-
-
-def run_event_reference(sim, n_slots: int, track: bool = True):
-    """The scalar reference loop (the engine-pair bit-identity oracle)."""
-    return sim._run_scalar(n_slots, track)

@@ -2,9 +2,9 @@
 
 ``tests/baselines/digests.json`` commits the ``WLANStats.digest()`` /
 ``MultiCellStats.digest()`` of a dozen (seed, scenario) pairs spanning
-both execution engines, the dynamic workloads, fault injection and the
-multi-cell layer.  The corpus turns "the simulation still computes the
-same numbers" into a one-file diff:
+the production path, the scalar solver oracle, the dynamic workloads,
+fault injection and the multi-cell layer.  The corpus turns "the
+simulation still computes the same numbers" into a one-file diff:
 
 * an *intentional* numerical change (a new solver, a reordered
   accumulation) shows up as a reviewed update to the JSON, regenerated
@@ -13,9 +13,10 @@ same numbers" into a one-file diff:
   fast path that drifts by one ulp) fails ``repro digest`` and the
   corpus test in CI.
 
-Scalar-engine entries pin the paper-faithful reference trajectory.
-Every ``batched`` entry is computed on the production path and must
-equal, bit for bit, the same case run on the reference twin
+``wlan_scalar_*`` entries pin the per-group solver oracle
+(:class:`~repro.sim.wlan.ScalarReferenceWLANSimulation`).  Every other
+entry is computed on the production path and must equal, bit for bit,
+the same case run on the reference twin
 (:class:`~repro.sim.wlan.ReferenceWLANSimulation`):
 :mod:`tests.baselines.test_digests` asserts both against the committed
 value, so one digest pins the fast path and its oracle at once.
@@ -36,14 +37,13 @@ DEFAULT_BASELINE = (
 #: cheap — the whole corpus recomputes inside the tier-1 suite.
 GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
     "wlan_scalar_saturated": {
-        "config": {"n_clients": 8, "seed": 11, "engine": "scalar"},
+        "config": {"n_clients": 8, "seed": 11},
         "n_slots": 30,
     },
     "wlan_scalar_poisson": {
         "config": {
             "n_clients": 8,
             "seed": 17,
-            "engine": "scalar",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.6},
         },
@@ -53,24 +53,22 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {
             "n_clients": 8,
             "seed": 23,
-            "engine": "scalar",
             "fault_params": {"backplane_loss_rate": 0.5},
         },
         "n_slots": 30,
     },
     "wlan_batched_saturated": {
-        "config": {"n_clients": 8, "seed": 11, "engine": "batched"},
+        "config": {"n_clients": 8, "seed": 11},
         "n_slots": 40,
     },
     "wlan_batched_big12": {
-        "config": {"n_clients": 12, "rho": 0.99, "seed": 7, "engine": "batched"},
+        "config": {"n_clients": 12, "rho": 0.99, "seed": 7},
         "n_slots": 40,
     },
     "wlan_batched_churn": {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "churn_params": {"p_leave": 0.05, "p_join": 0.1},
         },
         "n_slots": 40,
@@ -79,7 +77,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "mobility_params": {"p_start": 0.2, "p_stop": 0.3, "rho_moving": 0.9},
         },
         "n_slots": 40,
@@ -88,7 +85,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "channel": "wideband",
             "n_bins": 2,
         },
@@ -98,7 +94,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.05},
         },
@@ -108,7 +103,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "ack_period": 1,
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.02},
@@ -119,7 +113,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
         "config": {
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.05},
             "churn_params": {"p_leave": 0.05, "p_join": 0.1},
@@ -132,7 +125,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
             "n_aps": 4,
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "traffic": "poisson",
             "traffic_params": {"rate_per_client": 0.1},
             "fault_params": {
@@ -153,7 +145,6 @@ GOLDEN_WLAN: Dict[str, Dict[str, Any]] = {
             "n_aps": 4,
             "n_clients": 8,
             "seed": 11,
-            "engine": "batched",
             "fault_params": {
                 "backplane_loss_rate": 0.1,
                 "burst_enter": 0.05,
@@ -207,15 +198,19 @@ def golden_case_names() -> List[str]:
 
 def compute_digest(name: str, reference: bool = False) -> str:
     """Run one corpus case from scratch and return its digest
-    (single-cell cases on the reference twin with ``reference=True``)."""
+    (single-cell cases on the reference twin with ``reference=True``;
+    ``wlan_scalar_*`` cases always on the scalar oracle)."""
     # Deferred imports: the corpus definition stays importable without
     # pulling the whole simulation stack.
     if name in GOLDEN_WLAN:
-        from repro.sim.wlan import ReferenceWLANSimulation, WLANConfig, WLANSimulation
+        from repro.sim import wlan
 
         spec = GOLDEN_WLAN[name]
-        cls = ReferenceWLANSimulation if reference else WLANSimulation
-        sim = cls(WLANConfig(**spec["config"]))
+        if name.startswith("wlan_scalar_"):
+            cls = wlan.ScalarReferenceWLANSimulation
+        else:
+            cls = wlan.ReferenceWLANSimulation if reference else wlan.WLANSimulation
+        sim = cls(wlan.WLANConfig(**spec["config"]))
         return sim.run(spec["n_slots"]).digest()
     if name in GOLDEN_MULTICELL:
         from repro.sim.multicell import MultiCellConfig, MultiCellSimulation

@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.mac.association import elect_leader
 from repro.sim.geometry import disk_positions, grid_centers, path_gain_db
-from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats, validate_engine
+from repro.sim.wlan import WLANConfig, WLANSimulation, WLANStats
 from repro.utils.db import db_to_linear
 
 __all__ = [
@@ -95,8 +95,6 @@ class MultiCellConfig:
     #: Mean in-cell pair SNR in dB (noise power is 1).
     mean_gain_db: float = 15.0
     algorithm: str = "best2"
-    #: Per-cell :attr:`~repro.sim.wlan.WLANConfig.engine`.
-    engine: str = "batched"
     #: Per-cell arrival process: ``"saturated"`` or ``"poisson"`` at a
     #: fraction ``load`` of the cell's 3-packet/slot service capacity.
     #: (Finite load makes the boundary exchange informative: a lightly
@@ -134,9 +132,6 @@ class MultiCellConfig:
     #: Times a crashed shard worker is restarted (and replayed from its
     #: completed barriers) before the run gives up.
     max_shard_restarts: int = 2
-
-    def __post_init__(self) -> None:
-        validate_engine(self.engine)
 
     @property
     def n_aps(self) -> int:
@@ -418,7 +413,6 @@ def _cell_wlan_config(config: MultiCellConfig, cell: int) -> WLANConfig:
         rho=config.rho,
         mean_gain_db=config.mean_gain_db,
         algorithm=config.algorithm,
-        engine=config.engine,
         traffic=traffic,
         traffic_params=traffic_params,
         fault_params=(

@@ -49,7 +49,12 @@ import numpy as np
 
 from repro.baselines.dot11_mimo import best_ap_link
 from repro.core.plans import BandedChannelSet, ChannelSet
-from repro.engine import BatchedGroupEvaluator, GroupEvaluator, make_evaluator
+from repro.engine import (
+    BatchedGroupEvaluator,
+    ColumnarGroupEvaluator,
+    GroupEvaluator,
+    ScalarGroupEvaluator,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.mac.association import (
     ChannelUpdate,
@@ -65,19 +70,6 @@ from repro.phy.channel.timevarying import FadingNetwork
 from repro.sim.traffic import ClientChurn, MobilityModel, TrafficModel, make_traffic
 from repro.utils.db import db_to_linear
 from repro.utils.rng import default_rng
-
-#: Every value :attr:`WLANConfig.engine` accepts.  Doc-sync tests use
-#: this to require each engine be documented in EXPERIMENTS.md.
-WLAN_ENGINES: Tuple[str, ...] = ("scalar", "batched")
-
-
-def validate_engine(engine: str) -> None:
-    """Raise ``ValueError`` unless :data:`WLAN_ENGINES` accepts ``engine``."""
-    if engine not in WLAN_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}: engine must be one of "
-            + ", ".join(repr(e) for e in WLAN_ENGINES)
-        )
 
 
 @dataclass
@@ -97,13 +89,6 @@ class WLANConfig:
     algorithm: str = "best2"
     #: Clients re-sound the channel (ack overheard) every ``ack_period`` slots.
     ack_period: int = 4
-    #: Execution engine (:data:`WLAN_ENGINES`).  ``"batched"`` is the
-    #: production path — the event-driven columnar driver of
-    #: :mod:`repro.sim.events`, bit-identical to the
-    #: :class:`ReferenceWLANSimulation` oracle; the name predates that
-    #: driver and is kept because scenario ``params`` store it.
-    #: ``"scalar"``: the per-group evaluator under the reference loop.
-    engine: str = "batched"
     #: Arrival process (:func:`repro.sim.traffic.make_traffic` name):
     #: ``"saturated"`` (the paper's infinite-demand regime, default),
     #: ``"poisson"``, ``"bursty"`` or ``"heterogeneous"``, parameterised
@@ -147,9 +132,6 @@ class WLANConfig:
     #: toward; the selector never runs, so its RNG stream is untouched).
     service: str = "iac"
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        validate_engine(self.engine)
 
 
 @dataclass(frozen=True)
@@ -322,11 +304,9 @@ class WLANSimulation:
     config's string/params spelling (handy for tests and bespoke
     models); each process draws from its own RNG stream spawned from
     ``config.seed``, so enabling one never perturbs the fading, the
-    selector or the other processes.
+    selector or the other processes.  There is one execution path; its
+    oracle is :class:`ReferenceWLANSimulation`.
     """
-
-    #: True on :class:`ReferenceWLANSimulation`, the slot-loop oracle.
-    reference = False
 
     def __init__(
         self,
@@ -355,8 +335,6 @@ class WLANSimulation:
             else None
         )
         self.rng = default_rng(config.seed)
-        #: Whether :meth:`run` takes the production (event-driven) path.
-        self.fast = config.engine == "batched" and not self.reference
 
         self.ap_ids = list(range(config.n_aps))
         self.client_ids = list(range(100, 100 + config.n_clients))
@@ -368,17 +346,7 @@ class WLANSimulation:
         #: The channel substrate, behind the ChannelProvider contract.
         self.fading: ChannelProvider
         if config.channel == "flat":
-            # The fast path swaps in a stacked fading network whose
-            # construction draws are identical to the per-link reference
-            # (same RNG stream, same order) but whose per-slot step is one
-            # vectorised draw over every link.
-            if self.fast:
-                from repro.sim.columnar import ColumnarFadingNetwork
-
-                fading_cls = ColumnarFadingNetwork
-            else:
-                fading_cls = FadingNetwork
-            self.fading = fading_cls(
+            self.fading = self._flat_fading_cls()(
                 pairs, n_antennas=config.n_antennas, rho=config.rho,
                 gains=gains, rng=self.rng,
             )
@@ -420,9 +388,9 @@ class WLANSimulation:
         #: The APs that transmit an aligned group (first three, leader
         #: included); rebuilt on leader crash from the survivors.
         self._transmit_aps = tuple(self.ap_ids[:3])
-        #: Scores candidate groups against the leader's believed channels;
-        #: the batched engine memoises solutions on the leader's per-client
-        #: channel-map versions (see :mod:`repro.engine`).
+        #: Scores candidate groups against the leader's believed channels,
+        #: memoising solutions on the leader's per-client channel-map
+        #: versions (see :mod:`repro.engine`).
         self.evaluator = self._new_evaluator()
 
         # ---- dynamic-workload wiring (all default-off / saturated) ---- #
@@ -522,15 +490,19 @@ class WLANSimulation:
             int(c): float(v) for c, v in (floors or {}).items() if float(v) > 0.0
         }
 
+    def _flat_fading_cls(self) -> type:
+        """The flat substrate: one stacked network whose construction
+        draws equal the per-link reference's (same RNG stream, same
+        order) but whose per-slot step is one vectorised draw."""
+        from repro.sim.columnar import ColumnarFadingNetwork
+
+        return ColumnarFadingNetwork
+
     def _new_evaluator(self) -> GroupEvaluator:
-        """The leader's evaluator; the oracle's is the plain batched one."""
-        if self.reference and self.config.engine == "batched":
-            return BatchedGroupEvaluator(
-                self.leader, self._transmit_aps, alignment=self.config.alignment
-            )
-        return make_evaluator(
-            self.config.engine, source=self.leader, aps=self._transmit_aps,
-            alignment=self.config.alignment,
+        """The leader's evaluator, with the believed-channel mirror the
+        columnar slot pieces read."""
+        return ColumnarGroupEvaluator(
+            self.leader, self._transmit_aps, alignment=self.config.alignment
         )
 
     def _derate(self, rate: float, client: int) -> float:
@@ -856,17 +828,16 @@ class WLANSimulation:
         deployment, and ``stats.per_client_rate`` always averages over
         every slot simulated so far.
 
-        The production path is :func:`repro.sim.events.run_event` (the
+        Runs the event driver :func:`repro.sim.events.run_stacked` (the
         columnar slot pieces, idle spans skipped): bit-identical
         :class:`WLANStats` to the reference loop :meth:`_run_scalar`,
-        which ``engine="scalar"`` and :class:`ReferenceWLANSimulation`
-        run themselves.
+        which :class:`ReferenceWLANSimulation` runs instead.  The
+        processed/skipped slot split of the last run is left on
+        ``last_event_summary``.
         """
-        if self.fast:
-            from repro.sim.events import run_event
+        from repro.sim.events import run_stacked
 
-            return run_event(self, n_slots, track=track)
-        return self._run_scalar(n_slots, track)
+        return run_stacked([self], n_slots, track)[0]
 
     def _run_scalar(self, n_slots: int, track: bool = True) -> WLANStats:
         """The reference slot loop — the fast path's bit-identity oracle."""
@@ -967,8 +938,34 @@ class ReferenceWLANSimulation(WLANSimulation):
     implementation of every layer the fast path replaces — per-link
     :class:`~repro.phy.channel.timevarying.FadingNetwork`, the plain
     :class:`~repro.engine.BatchedGroupEvaluator` and the scalar slot
-    loop.  Only the benchmark harness and the tests build it (as the
-    input of the ``*_reference`` drivers); no scenario parameter does.
+    loop.  Bit-identical to :class:`WLANSimulation`.  Only the tests,
+    the golden corpus and ``repro bench`` build it; no config or
+    scenario parameter reaches it.
     """
 
-    reference = True
+    def _flat_fading_cls(self) -> type:
+        return FadingNetwork
+
+    def _new_evaluator(self) -> GroupEvaluator:
+        return BatchedGroupEvaluator(
+            self.leader, self._transmit_aps, alignment=self.config.alignment
+        )
+
+    def run(self, n_slots: int, track: bool = True) -> WLANStats:
+        return self._run_scalar(n_slots, track)
+
+
+class ScalarReferenceWLANSimulation(ReferenceWLANSimulation):
+    """The reference run on the per-group
+    :class:`~repro.engine.ScalarGroupEvaluator` (the solver oracle).
+
+    Same event log and integer counters as
+    :class:`ReferenceWLANSimulation`, but rates and staleness differ in
+    the last few ulps: the two solvers take different floating-point
+    paths.  Pins the ``wlan_scalar_*`` golden digests.
+    """
+
+    def _new_evaluator(self) -> GroupEvaluator:
+        return ScalarGroupEvaluator(
+            self.leader, self._transmit_aps, alignment=self.config.alignment
+        )

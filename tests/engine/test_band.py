@@ -11,10 +11,10 @@ import pytest
 from repro.core.plans import BandedChannelSet, ChannelSet
 from repro.engine import (
     BatchedGroupEvaluator,
+    ColumnarGroupEvaluator,
     ScalarGroupEvaluator,
     StaticChannelSource,
     downlink_sinrs_band,
-    make_evaluator,
     solve_downlink_three_band,
     solve_downlink_three_batch,
     stack_downlink_channels,
@@ -154,12 +154,18 @@ class TestBandedInterface:
         with pytest.raises(ValueError):
             BatchedGroupEvaluator(src, APS, alignment="oracle")
         with pytest.raises(ValueError):
-            make_evaluator("batched", src, APS, alignment="oracle")
+            ColumnarGroupEvaluator(src, APS, alignment="oracle")
 
     def test_factory_passes_alignment(self):
-        src = StaticChannelSource(banded_channels(0), APS)
-        ev = make_evaluator("batched", src, APS, alignment="flat_anchor")
-        assert ev.alignment == "flat_anchor"
+        """Every simulation class hands the config's alignment to the
+        evaluator it builds."""
+        from repro.sim import wlan
+
+        config = wlan.WLANConfig(channel="wideband", n_bins=2,
+                                 alignment="flat_anchor")
+        for cls in (wlan.WLANSimulation, wlan.ReferenceWLANSimulation,
+                    wlan.ScalarReferenceWLANSimulation):
+            assert cls(config).evaluator.alignment == "flat_anchor"
 
     def test_solve_returns_anchor_solution_for_banded_sources(self):
         scalar, batched = make_pair(1)

@@ -207,26 +207,29 @@ class TestBuildConfig:
             {"traffic": "saturated", "load": 0.5, "churn": False, "p_leave": 0.1}
         )
         assert "load" not in inert and "p_leave" not in inert
-        # Spelling aliases and the numerically-equivalent engine choice
-        # collapse to one identity.
+        # Spelling aliases collapse to one identity, and so does the
+        # engine parameter's one accepted value.
         assert canonical_dynamic_params({"traffic": "hetero"}) == (
             canonical_dynamic_params({"traffic": "heterogeneous"})
         )
-        assert canonical_dynamic_params({"engine": "scalar"}) == (
-            canonical_dynamic_params({"engine": "batched"})
+        assert canonical_dynamic_params({"engine": "batched"}) == (
+            canonical_dynamic_params({})
         )
 
     @pytest.mark.parametrize("scenario", [
         "load_latency", "city_scale", "fault_resilience", "backplane_loss_sweep",
     ])
     def test_removed_engine_param_rejected(self, scenario):
-        """``engine=event`` fails in the canonicaliser (before a sweep
-        keys a cell) and at run time, naming the knob's values."""
+        """Retired engine values fail in the canonicaliser (before a
+        sweep keys a cell) and at run time, naming the one accepted
+        value."""
         spec = get_scenario(scenario)
-        with pytest.raises(ValueError, match="engine must be one of"):
-            spec.canonical_params({**spec.default_params, "engine": "event"})
-        with pytest.raises(ValueError, match="engine must be one of"):
-            run_experiment(scenario, n_trials=1, params={"engine": "event"})
+        assert spec.default_params["engine"] == "batched"
+        for engine in ("event", "scalar"):
+            with pytest.raises(ValueError, match="engine accepts only 'batched'"):
+                spec.canonical_params({**spec.default_params, "engine": engine})
+            with pytest.raises(ValueError, match="engine accepts only 'batched'"):
+                run_experiment(scenario, n_trials=1, params={"engine": engine})
 
     def test_bursty_never_on_rejected(self):
         """p_on=0 must surface as ValueError, not ZeroDivisionError."""

@@ -339,7 +339,7 @@ class TestSweepCLI:
             "--trials", "1", "--no-cache",
         ]) == 1
         err = capsys.readouterr().err
-        assert "engine" in err and "'scalar', 'batched'" in err
+        assert "engine accepts only 'batched'" in err
 
     def test_store_from_before_the_engine_collapse_resumes(self, tmp_path):
         """A store written by an ``engine=columnar`` sweep, when that was
@@ -359,3 +359,52 @@ class TestSweepCLI:
             "--trials", "1", "--no-cache",
         ]) == 1
         assert "error: sweeping" in capsys.readouterr().err
+
+
+#: Scenarios whose ``engine`` parameter keeps one value.  A store filled
+#: by a retired ``engine=scalar`` sweep held cells a few ulps off the
+#: default's numbers under the default's keys; the value must now fail
+#: before any cell is keyed, served or stored.
+RETIRED_ENGINE_SCENARIOS = ["load_latency", "city_scale", "fault_resilience"]
+
+
+class TestRetiredEngineValue:
+    @pytest.mark.parametrize("scenario", RETIRED_ENGINE_SCENARIOS)
+    def test_run_sweep_rejects_scalar_before_any_store_write(
+        self, scenario, tmp_path
+    ):
+        cache = tmp_path / "cells.jsonl"
+        with pytest.raises(ValueError, match="engine accepts only 'batched'"):
+            run_sweep(
+                scenario, {"n_slots": [10, 20]}, n_trials=1,
+                params={"engine": "scalar"}, cache=cache,
+            )
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("scenario", RETIRED_ENGINE_SCENARIOS)
+    @pytest.mark.parametrize("axis", [
+        ["--param", "engine=scalar", "--grid", "n_slots=10,20"],
+        ["--grid", "engine=scalar,batched"],
+    ], ids=["param", "grid"])
+    def test_cli_rejects_scalar_before_any_store_write(
+        self, scenario, axis, tmp_path, capsys
+    ):
+        cache = tmp_path / "cells.jsonl"
+        assert main([
+            "sweep", scenario, *axis, "--trials", "1", "--cache", str(cache),
+        ]) == 1
+        assert "engine accepts only 'batched'" in capsys.readouterr().err
+        assert not cache.exists()
+
+    def test_scalar_never_served_from_a_default_store(self, tmp_path):
+        """The pre-collapse store holds default-keyed cells; a scalar
+        sweep over the same grid neither reads nor touches them."""
+        fixture = Path(__file__).parent / "fixtures" / "load_latency_store.jsonl"
+        cache_path = shutil.copy(fixture, tmp_path / "cells.jsonl")
+        with pytest.raises(ValueError, match="engine accepts only 'batched'"):
+            run_sweep(
+                "load_latency", {"load": [0.3, 0.9]}, n_trials=1,
+                params={"n_slots": 30, "n_clients": 6, "engine": "scalar"},
+                cache=cache_path,
+            )
+        assert cache_path.read_bytes() == fixture.read_bytes()

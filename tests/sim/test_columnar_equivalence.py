@@ -69,12 +69,16 @@ def test_run_stacked_width_invariance():
 
 
 def test_run_stacked_degrades_for_non_columnar_members():
-    """Members off the fast path run their own loop — same bits, no error."""
-    members = [(WLANSimulation, ReferenceWLANSimulation, config(seed=3)),
-               (ReferenceWLANSimulation, ReferenceWLANSimulation, config(seed=4)),
-               (WLANSimulation, WLANSimulation, config(seed=5, engine="scalar"))]
-    stacked = run_stacked([cls(c) for cls, _, c in members], N_SLOTS)
-    reference = run_stacked_reference([ref(c) for _, ref, c in members], N_SLOTS)
+    """Wideband members (no stacked fading, no shared solve) take the
+    per-slot fallback inside the stack — same bits as the reference."""
+    configs = [config(seed=3),
+               config(seed=4, channel="wideband", n_bins=2),
+               config(seed=5, channel="wideband", n_bins=2, traffic="poisson",
+                      traffic_params={"rate_per_client": 0.05})]
+    stacked = run_stacked([WLANSimulation(c) for c in configs], N_SLOTS)
+    reference = run_stacked_reference(
+        [ReferenceWLANSimulation(c) for c in configs], N_SLOTS
+    )
     assert [s.digest() for s in stacked] == [r.digest() for r in reference]
 
 

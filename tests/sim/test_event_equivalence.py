@@ -1,7 +1,8 @@
 """Production event driver: bit-identity suite.
 
-:func:`~repro.sim.events.run_event` — what ``WLANSimulation.run``
-executes — is the columnar slot pieces with idle slots fast-forwarded.
+``WLANSimulation.run`` (the event driver,
+:func:`~repro.sim.events.run_stacked`) is the columnar slot pieces with
+idle slots fast-forwarded.
 Over the shared grid of ``test_fast_path_equivalence.py`` plus the
 sparse regimes where skipping dominates, it equals the reference loop
 on the :class:`~repro.sim.wlan.ReferenceWLANSimulation` twin in every
@@ -14,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import multicell
+from repro.sim import events, multicell
 from repro.sim.columnar import run_columnar
-from repro.sim.events import run_event, run_event_reference
 from repro.sim.wlan import ReferenceWLANSimulation, WLANSimulation
 from test_fast_path_equivalence import EVENT_ALL_CASES, N_SLOTS, config
 
@@ -34,8 +34,8 @@ LONG_CASES = (
 def test_event_equals_scalar_reference(name):
     """Full-WLANStats equality: every counter, rate, and event."""
     cfg = config(**EVENT_ALL_CASES[name])
-    event = run_event(WLANSimulation(cfg), N_SLOTS)
-    reference = run_event_reference(ReferenceWLANSimulation(cfg), N_SLOTS)
+    event = WLANSimulation(cfg).run(N_SLOTS)
+    reference = ReferenceWLANSimulation(cfg).run(N_SLOTS)
     assert event.to_dict() == reference.to_dict()
     assert event.events == reference.events
     assert event.digest() == reference.digest()
@@ -97,6 +97,7 @@ def test_multicell_cells_can_run_event_engine(monkeypatch):
     )
     fast = MultiCellSimulation(cfg).run(30)
     monkeypatch.setattr(multicell, "WLANSimulation", ReferenceWLANSimulation)
+    monkeypatch.setattr(events, "run_stacked", events.run_stacked_reference)
     assert fast.digest() == MultiCellSimulation(cfg).run(30).digest()
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import multicell
+from repro.sim import events, multicell
 from repro.sim.multicell import MultiCellConfig, MultiCellSimulation
 from repro.sim.wlan import ReferenceWLANSimulation, WLANConfig, WLANSimulation
 
@@ -202,6 +202,7 @@ def test_stacked_city_equals_reference_cells(monkeypatch, workers, fault_params)
     )
     stacked = MultiCellSimulation(cfg).run(30, workers=workers)
     monkeypatch.setattr(multicell, "WLANSimulation", ReferenceWLANSimulation)
+    monkeypatch.setattr(events, "run_stacked", events.run_stacked_reference)
     reference = MultiCellSimulation(cfg).run(30, workers=1)
     assert stacked.to_dict() == reference.to_dict()
     assert stacked.digest() == reference.digest()

@@ -109,7 +109,7 @@ class TestPartition:
             build_partition(tiny_config(cell_radius=0.6))
         with pytest.raises(ValueError, match="edge_fraction"):
             build_partition(tiny_config(edge_fraction=1.5))
-        with pytest.raises(ValueError, match="engine must be one of"):
+        with pytest.raises(TypeError, match="engine"):
             tiny_config(engine="columnar")
 
 

@@ -1,9 +1,13 @@
 """Tests for the integrated WLAN simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.sim.wlan import WLANConfig, WLANSimulation
+from repro.engine import ScalarGroupEvaluator
+from repro.sim.multicell import MultiCellConfig
+from repro.sim.wlan import ScalarReferenceWLANSimulation, WLANConfig, WLANSimulation
 
 
 @pytest.fixture(scope="module")
@@ -57,13 +61,14 @@ class TestValidation:
             WLANSimulation(WLANConfig(n_aps=3, n_clients=2))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            WLANSimulation(WLANConfig(engine="quantum"))
+        """One execution path: neither config has an engine field."""
+        for cls in (WLANConfig, MultiCellConfig):
+            assert "engine" not in {f.name for f in dataclasses.fields(cls)}
 
-    @pytest.mark.parametrize("engine", ["columnar", "event"])
+    @pytest.mark.parametrize("engine", ["columnar", "event", "scalar", "batched"])
     def test_removed_engines_rejected_at_config(self, engine):
-        """The driver names are gone from the knob: fail at construction."""
-        with pytest.raises(ValueError, match="engine must be one of 'scalar', 'batched'"):
+        """Every former engine name fails at construction."""
+        with pytest.raises(TypeError, match="engine"):
             WLANConfig(engine=engine)
 
 
@@ -113,7 +118,9 @@ class TestRepeatedRuns:
 
 class TestEngineEquivalenceInSim:
     def test_scalar_engine_selectable(self):
-        stats = WLANSimulation(
-            WLANConfig(n_clients=6, rho=1.0, seed=3, engine="scalar")
-        ).run(10)
-        assert stats.total_rate > 0
+        """The scalar-solver oracle is a class, not a config value."""
+        sim = ScalarReferenceWLANSimulation(
+            WLANConfig(n_clients=6, rho=1.0, seed=3)
+        )
+        assert isinstance(sim.evaluator, ScalarGroupEvaluator)
+        assert sim.run(10).total_rate > 0

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.sim.wlan import WLANConfig, WLANSimulation
+from repro.sim.wlan import ScalarReferenceWLANSimulation, WLANConfig, WLANSimulation
 
 
 def wideband_config(**kwargs):
@@ -78,13 +78,11 @@ class TestWidebandRegime:
         assert per_bin.total_rate > anchor.total_rate
 
     def test_scalar_engine_matches_batched_on_wideband(self):
-        """Banded engines walk the same trajectory, like the flat ones."""
-        def run(engine):
-            return WLANSimulation(
-                wideband_config(rho=0.98, engine=engine, n_bins=2)
-            ).run(12)
-
-        scalar, batched = run("scalar"), run("batched")
+        """Banded evaluators walk the same trajectory, like the flat ones:
+        the scalar-solver oracle against the production run."""
+        config = wideband_config(rho=0.98, n_bins=2)
+        scalar = ScalarReferenceWLANSimulation(config).run(12)
+        batched = WLANSimulation(config).run(12)
         assert batched.drift_reports == scalar.drift_reports
         for client, rate in scalar.per_client_rate.items():
             assert np.isclose(batched.per_client_rate[client], rate,

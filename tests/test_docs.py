@@ -88,19 +88,16 @@ class TestLintDocSync:
 
 class TestEngineDocSync:
     def test_every_engine_value_documented_in_experiments_md(self):
-        """EXPERIMENTS.md documents every value the `engine` knob accepts
-        — an engine the docs don't name is a fast path users can't reach."""
-        from repro.sim.wlan import WLAN_ENGINES
+        """EXPERIMENTS.md documents the one value the scenarios' `engine`
+        parameter accepts, in 'The group-evaluation engine'."""
+        from repro.experiments.registry import WLAN_ENGINE
 
         text = EXPERIMENTS.read_text(encoding="utf-8")
-        missing = [
-            engine
-            for engine in WLAN_ENGINES
-            if f'`engine="{engine}"`' not in text
-        ]
-        assert not missing, (
-            f"engine values missing from EXPERIMENTS.md: {missing} — "
-            "document them in 'The group-evaluation engine'"
+        section = text.split("## The group-evaluation engine", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        assert f'`engine="{WLAN_ENGINE}"`' in section, (
+            f'`engine="{WLAN_ENGINE}"` missing from EXPERIMENTS.md — '
+            "document it in 'The group-evaluation engine'"
         )
 
     def test_bench_wlan_schema_documents_columnar_fields(self):
