@@ -27,8 +27,8 @@ across workers (one scenario run per cell, per-cell RNG streams) and
 memoises completed cells in a JSON cache so an interrupted sweep resumes
 bit-identically; see :mod:`repro.experiments.sweep`.  The ``figNN`` subcommands are thin aliases over the same
 registry.  ``bench`` times the WLAN hot path under both group-evaluation
-engines, the sample-accurate signal pipeline under its ``fast`` and
-``reference`` engines, and a set of scenario trials, writing
+engines, the sample-accurate signal pipeline against its scalar oracle,
+and a set of scenario trials, writing
 ``BENCH_wlan.json`` / ``BENCH_signal.json`` / ``BENCH_scenarios.json``
 (``--quick`` for the CI smoke variant; ``--events`` adds the
 event-driven kernel vs the columnar slot loop across offered loads with
@@ -102,12 +102,12 @@ def _parse_value(raw: str) -> Any:
     """A ``--param``/``--grid`` value: JSON, with a bare-string fallback
     (so ``algorithm=brute`` works without quoting).
 
-    Python-style booleans are honoured: a bare ``False`` is not valid
+    Python-style literals are honoured: a bare ``False`` is not valid
     JSON and would otherwise fall back to a *truthy* non-empty string,
     silently enabling whatever feature flag it was meant to disable.
     """
-    if raw in ("True", "False"):
-        return raw == "True"
+    if raw in ("True", "False", "None"):
+        return None if raw == "None" else raw == "True"
     try:
         return json.loads(raw)
     except ValueError:

@@ -21,30 +21,27 @@ Every measured quantity the paper reports -- per-packet SNR, achievable
 rate, Ethernet bytes -- is collected in the returned
 :class:`SessionReport`.
 
-The pipeline has two engines, selected by :attr:`SignalConfig.engine`:
-
-* ``"fast"`` (default) -- the vectorized signal path: block phase tracking
-  (:class:`_BlockPhaseTracker`), batched Viterbi across a decode stage's
-  same-length packets (:meth:`ConvolutionalCode.decode_many`), the
-  table-driven byte-stepped FEC encoder and the tiled scrambler keystream;
-* ``"reference"`` -- the original scalar path (per-symbol PLL, per-packet
-  Viterbi, per-bit encoder, stepped LFSR), kept as the readable
-  specification the fast engine is equivalence-tested and benchmarked
-  against (``repro bench`` writes the speedup to ``BENCH_signal.json``).
-
-Both engines produce bit-identical decoded payloads; measured SNRs agree
-to floating-point noise (the block tracker iterates its chunked recurrence
-to the same decision fixed point the scalar PLL walks to).
+:func:`run_session` is the one production path: block phase tracking
+(:class:`_BlockPhaseTracker`), batched Viterbi across a decode stage's
+same-length packets (:meth:`ConvolutionalCode.decode_many`), the
+table-driven byte-stepped FEC encoder and the tiled scrambler keystream.
+:func:`run_session_reference` runs the same body on the original scalar
+kernels (per-symbol PLL, per-packet Viterbi, per-bit encoder, stepped
+LFSR): the readable specification the fast path is equivalence-tested
+and benchmarked against (``BENCH_signal.json``).  Both produce
+bit-identical decoded payloads; measured SNRs agree to floating-point
+noise (the block tracker iterates its chunked recurrence to the same
+decision fixed point the scalar PLL walks to).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.cancellation import Reconstruction, subtract, subtract_refined
+from repro.core.cancellation import Reconstruction, subtract_refined
 from repro.core.decoder import max_sinr_vector
 from repro.core.plans import AlignmentSolution, ChannelSet
 from repro.phy.bits import Scrambler
@@ -58,9 +55,19 @@ from repro.phy.preamble import detect_preamble, pn_sequence, preamble_matrix
 from repro.utils.rng import default_rng
 
 
+#: Per-packet synchronisation preamble length in samples.
+PREAMBLE_LENGTH = 64
+
+#: Per-transmitter preamble length of the channel-estimation training phase.
+TRAINING_PREAMBLE_LENGTH = 128
+
+
 @dataclass
 class SignalConfig:
     """Knobs of the sample-level pipeline.
+
+    Phase tracking (except on OFDM) and refitted cancellation are always
+    on; which kernels run is chosen by entry point, not by a knob.
 
     Attributes
     ----------
@@ -69,8 +76,6 @@ class SignalConfig:
     fec:
         ``None`` (uncoded), ``"conv"`` (802.11 rate-1/2 Viterbi) or
         ``"hamming"``.
-    preamble_length:
-        Per-packet synchronisation preamble length in samples.
     noise_power:
         Receiver AWGN power per antenna.
     cfo_spread:
@@ -85,31 +90,14 @@ class SignalConfig:
         When True, receivers work from noisy least-squares channel estimates
         obtained in a training phase (each transmitter sounds the channel
         alone); when False they use genie channel knowledge.
-    phase_tracking:
-        Decision-directed phase tracking on the demodulated stream
-        (first-order PLL), needed for long payloads under residual CFO.
-    training_preamble_length:
-        Preamble length used in the training phase for channel estimation.
-    engine:
-        ``"fast"`` (default) for the vectorized pipeline (block phase
-        tracking, batched Viterbi, table-driven encoder), ``"reference"``
-        for the scalar path the fast engine is validated against.
     """
 
     modulation: str = "bpsk"
     fec: Optional[str] = None
-    preamble_length: int = 64
     noise_power: float = 1e-3
     cfo_spread: float = 0.0
     max_timing_offset: int = 0
     estimate_channels: bool = False
-    phase_tracking: bool = True
-    training_preamble_length: int = 128
-    refine_cancellation: bool = True
-    engine: str = "fast"
-
-    def modulator(self) -> Modulator:
-        return get_modulator(self.modulation)
 
     def make_fec(self):
         """Return the configured FEC code (shared across sessions).
@@ -303,12 +291,6 @@ class _BlockPhaseTracker:
         return out
 
 
-def _make_phase_tracker(modulator: Modulator, engine: str):
-    if engine == "reference":
-        return _PhaseTracker(modulator)
-    return _BlockPhaseTracker(modulator)
-
-
 def _packet_scrambler(packet_id: int) -> "Scrambler":
     """Per-packet scrambler seed (as 802.11 randomises per frame).
 
@@ -321,40 +303,48 @@ def _packet_scrambler(packet_id: int) -> "Scrambler":
     return Scrambler(seed=seed)
 
 
-def _apply_scrambler(bits: np.ndarray, packet_id: int, engine: str) -> np.ndarray:
-    """(De)scramble with the packet's keystream (an XOR, so its own inverse).
-
-    The reference engine steps the LFSR bit by bit; the fast engine tiles
-    the cached keystream period.  Both produce identical bits.
-    """
-    scrambler = _packet_scrambler(packet_id)
+def _apply_scrambler(bits: np.ndarray, packet_id: int, keystream) -> np.ndarray:
+    """(De)scramble with the packet's keystream (an XOR, so its own inverse)."""
     bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if engine == "reference":
-        return bits ^ scrambler._keystream_reference(bits.size)
-    return bits ^ scrambler._keystream(bits.size)
+    return bits ^ keystream(_packet_scrambler(packet_id), bits.size)
 
 
-def _encode_bits(packet: Packet, fec, packet_id: int, engine: str = "fast") -> np.ndarray:
+@dataclass(frozen=True)
+class _Kernels:
+    """What differs between :func:`run_session` and its scalar oracle; each
+    pair computes identical bits (the two trackers agree to float noise)."""
+
+    tracker: type  # decision-directed phase tracker class
+    keystream: Callable  # (scrambler, n) -> keystream bits
+    encode: Callable  # (fec, bits) -> coded bits
+    batch_viterbi: bool  # one decode_many pass per stage's same-length conv streams
+
+
+_FAST = _Kernels(_BlockPhaseTracker, Scrambler._keystream, lambda fec, bits: fec.encode(bits), True)
+_SCALAR = _Kernels(
+    _PhaseTracker,
+    Scrambler._keystream_reference,
+    lambda fec, bits: getattr(fec, "encode_reference", fec.encode)(bits),
+    False,
+)
+
+
+def _encode_bits(packet: Packet, fec, packet_id: int, kernels: _Kernels = _FAST) -> np.ndarray:
     bits = packet.to_bits()
-    if fec is None:
-        coded = bits
-    elif engine == "reference" and hasattr(fec, "encode_reference"):
-        coded = fec.encode_reference(bits)
-    else:
-        coded = fec.encode(bits)
-    return _apply_scrambler(coded, packet_id, engine)
+    coded = bits if fec is None else kernels.encode(fec, bits)
+    return _apply_scrambler(coded, packet_id, kernels.keystream)
 
 
 def _fec_decode_stage(
     streams: Dict[int, np.ndarray],
     frame_bits: Dict[int, np.ndarray],
     fec,
-    engine: str,
+    kernels: _Kernels,
 ) -> Dict[int, Optional[np.ndarray]]:
     """Descramble and FEC-decode one decode stage's recovered bit streams.
 
-    With the fast engine and a convolutional code, same-length streams are
-    stacked and run through one batched Viterbi pass
+    With batched Viterbi and a convolutional code, same-length streams are
+    stacked and run through one batched pass
     (:meth:`ConvolutionalCode.decode_many`, bit-identical to per-packet
     ``decode``); everything else decodes per packet.  A stream too short
     for its frame maps to ``None`` (delivery failure).
@@ -367,10 +357,10 @@ def _fec_decode_stage(
         if bits.size < n_coded:
             decoded[pid] = None
             continue
-        descrambled = _apply_scrambler(bits[:n_coded], pid, engine)
+        descrambled = _apply_scrambler(bits[:n_coded], pid, kernels.keystream)
         if fec is None:
             decoded[pid] = descrambled
-        elif engine == "fast" and isinstance(fec, ConvolutionalCode):
+        elif kernels.batch_viterbi and isinstance(fec, ConvolutionalCode):
             batch.append((pid, descrambled, n_bits))
         else:
             try:
@@ -409,12 +399,27 @@ def run_session(
     rng:
         Seed or generator for noise/CFO/offset draws.
     """
+    return _run_pipeline(solution, channels, payloads, config, rng, _FAST)
+
+
+def run_session_reference(
+    solution: AlignmentSolution,
+    channels: ChannelSet,
+    payloads: Dict[int, Packet],
+    config: SignalConfig,
+    rng=None,
+) -> SessionReport:
+    """Scalar oracle of :func:`run_session`: the same pipeline and RNG
+    draws on the per-symbol PLL, stepped LFSR, per-bit encoder and
+    per-packet Viterbi."""
+    return _run_pipeline(solution, channels, payloads, config, rng, _SCALAR)
+
+
+def _run_pipeline(solution, channels, payloads, config, rng, kernels: _Kernels) -> SessionReport:
+    """The body of :func:`run_session` and its oracle (same arguments as
+    theirs, plus the kernels to run)."""
     rng = default_rng(rng)
-    if config.engine not in ("fast", "reference"):
-        raise ValueError(
-            f"unknown engine {config.engine!r}; use 'fast' or 'reference'"
-        )
-    modulator = config.modulator()
+    modulator = get_modulator(config.modulation)
     fec = config.make_fec()
 
     missing = {p.packet_id for p in solution.packets} - set(payloads)
@@ -440,15 +445,13 @@ def run_session(
     # ------------------------------------------------------------------ #
     frame_bits: Dict[int, np.ndarray] = {}
     packet_samples: Dict[int, np.ndarray] = {}
-    payload_symbol_start: Dict[int, int] = {}
     for p in solution.packets:
         pkt = payloads[p.packet_id]
-        bits = _encode_bits(pkt, fec, p.packet_id, config.engine)
+        bits = _encode_bits(pkt, fec, p.packet_id, kernels)
         frame_bits[p.packet_id] = pkt.to_bits()
         symbols = modulator.modulate(bits)
-        preamble = _packet_preamble(p.packet_id, config.preamble_length)
+        preamble = _packet_preamble(p.packet_id, PREAMBLE_LENGTH)
         packet_samples[p.packet_id] = np.concatenate([preamble, symbols])
-        payload_symbol_start[p.packet_id] = config.preamble_length
 
     n_longest = max(s.size for s in packet_samples.values())
     tx_blocks: Dict[int, np.ndarray] = {}
@@ -484,7 +487,7 @@ def run_session(
     cfo_est: Dict[tuple, float] = {}
     for tx in tx_nodes:
         n_ant = channels.tx_antennas(tx)
-        training = preamble_matrix(n_ant, config.training_preamble_length, seed=0xBEEF + tx)
+        training = preamble_matrix(n_ant, TRAINING_PREAMBLE_LENGTH, seed=0xBEEF + tx)
         for rx in rx_nodes:
             if config.estimate_channels:
                 link = Link(h=channels.h(tx, rx), cfo=osc[tx] - osc[rx])
@@ -525,10 +528,7 @@ def run_session(
                     cfo=cfo_est[(tx, rx)],
                     sample_offset=timing[tx],
                 )
-                if config.refine_cancellation:
-                    window = subtract_refined(window, recon)
-                else:
-                    window = subtract(window, recon)
+                window = subtract_refined(window, recon)
                 report.ethernet_bytes += pkt.nbytes
                 cancelled_here.append(pid)
 
@@ -536,7 +536,7 @@ def run_session(
 
         # Project, synchronise, equalise and demodulate every packet of the
         # stage, then FEC-decode the recovered streams together (the fast
-        # engine stacks the stage's same-length packets into one batched
+        # kernels stack the stage's same-length packets into one batched
         # Viterbi pass).
         stage_streams: Dict[int, np.ndarray] = {}
         stage_snr: Dict[int, float] = {}
@@ -556,12 +556,13 @@ def run_session(
                 tx_timing=timing[tx],
                 packet_samples=packet_samples[pid],
                 modulator=modulator,
-                config=config,
+                tracker=kernels.tracker,
+                max_timing_offset=config.max_timing_offset,
             )
             if recovered is not None:
                 stage_streams[pid], stage_snr[pid] = recovered
 
-        decoded_bits = _fec_decode_stage(stage_streams, frame_bits, fec, config.engine)
+        decoded_bits = _fec_decode_stage(stage_streams, frame_bits, fec, kernels)
         for pid in stage.packet_ids:
             if pid not in stage_streams:
                 outcome = PacketOutcome(
@@ -589,7 +590,8 @@ def _recover_stream(
     tx_timing: int,
     packet_samples: np.ndarray,
     modulator: Modulator,
-    config: SignalConfig,
+    tracker: type,
+    max_timing_offset: int,
 ) -> Optional[tuple]:
     """Synchronise, equalise, phase-track and demodulate one projected stream.
 
@@ -597,11 +599,11 @@ def _recover_stream(
     cannot be located or equalised (FEC decoding happens stage-wide
     afterwards, see :func:`_fec_decode_stage`).
     """
-    preamble = _packet_preamble(pid, config.preamble_length)
+    preamble = _packet_preamble(pid, PREAMBLE_LENGTH)
     n_total = packet_samples.size
 
     # Locate the packet (transmitters are not time synchronised).
-    if config.max_timing_offset > 0:
+    if max_timing_offset > 0:
         start = detect_preamble(projected, preamble, threshold=0.35)
         if start < 0:
             return None
@@ -612,27 +614,27 @@ def _recover_stream(
         return None
 
     # Residual CFO and complex gain from the known preamble.
-    rx_preamble = segment[: config.preamble_length]
+    rx_preamble = segment[:PREAMBLE_LENGTH]
     cfo = estimate_cfo(rx_preamble[None, :], preamble[None, :])
     derotated = apply_cfo(segment, -cfo, start=0)
-    gain = np.vdot(preamble, derotated[: config.preamble_length]) / float(
+    gain = np.vdot(preamble, derotated[:PREAMBLE_LENGTH]) / float(
         np.vdot(preamble, preamble).real
     )
     if abs(gain) < 1e-12:
         return None
     equalized = derotated / gain
 
-    symbols = equalized[config.preamble_length :]
+    symbols = equalized[PREAMBLE_LENGTH:]
     # The decision-directed PLL assumes memoryless constellation symbols;
     # OFDM samples are time-domain mixtures, so tracking is skipped there
     # (per-subcarrier equalisation handles phase for OFDM instead).
-    if config.phase_tracking and not isinstance(modulator, OFDM):
-        symbols = _make_phase_tracker(modulator, config.engine).track(symbols)
+    if not isinstance(modulator, OFDM):
+        symbols = tracker(modulator).track(symbols)
 
     # Measured SNR: error-vector magnitude against the known transmitted
     # symbols (the experiment harness has ground truth, as in the paper's
     # testbed measurements).
-    reference = packet_samples[config.preamble_length :]
+    reference = packet_samples[PREAMBLE_LENGTH:]
     err = symbols - reference
     sig_power = float(np.mean(np.abs(reference) ** 2))
     err_power = float(np.mean(np.abs(err) ** 2))

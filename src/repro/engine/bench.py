@@ -22,9 +22,9 @@ recorded alongside its correctness results:
   equality plus the no-regression saturated bracket;
   ``BENCH_events.json``.
 * :func:`bench_signal` times the sample-accurate pipeline
-  (:func:`repro.core.run_session`) under the ``fast`` (block phase
-  tracking, batched Viterbi, table-driven FEC) and ``reference`` (scalar)
-  engines on identical seeds, reports the speedup, and records delivery
+  (:func:`repro.core.run_session`, ``fast``) against its scalar oracle
+  (:func:`~repro.core.session.run_session_reference`, ``reference``)
+  on identical seeds, reports the speedup, and records delivery
   counts plus the worst SNR discrepancy so numerical equivalence is
   visible in the artifact; ``BENCH_signal.json``.
 * :func:`bench_scenarios` times registered scenarios end to end through
@@ -282,7 +282,7 @@ def bench_signal(
     modulation: str = "bpsk",
     fec: str = "conv",
 ) -> dict:
-    """Time ``run_session`` under the ``fast`` and ``reference`` engines.
+    """Time ``run_session`` (``fast``) against ``run_session_reference``.
 
     One fixed 2-client/2-AP uplink scene (3 concurrent packets, §6
     impairments on: CFO, timing offsets) is decoded ``n_sessions`` times
@@ -294,6 +294,7 @@ def bench_signal(
     """
     # Deferred imports: keep ``repro.engine`` light for non-bench users.
     from repro.core import ChannelSet, SignalConfig, run_session, solve_uplink_three_packets
+    from repro.core.session import run_session_reference
     from repro.phy.channel.model import rayleigh_channel
     from repro.phy.packet import Packet
     from repro.utils.rng import default_rng
@@ -307,21 +308,20 @@ def bench_signal(
         i: Packet.random(scene_rng, payload_bytes, src=i, seq=i) for i in range(3)
     }
 
+    config = SignalConfig(
+        modulation=modulation,
+        fec=fec,
+        noise_power=1e-3,
+        cfo_spread=5e-5,
+        max_timing_offset=16,
+    )
     # Warm the shared FEC cache so one-time table construction is not
     # charged to whichever engine happens to run first.
-    SignalConfig(fec=fec).make_fec()
+    config.make_fec()
 
     engines: Dict[str, Dict[str, float]] = {}
     snrs: Dict[str, list] = {}
-    for engine in ("reference", "fast"):
-        config = SignalConfig(
-            modulation=modulation,
-            fec=fec,
-            noise_power=1e-3,
-            cfo_spread=5e-5,
-            max_timing_offset=16,
-            engine=engine,
-        )
+    for engine, run in (("reference", run_session_reference), ("fast", run_session)):
         best = float("inf")
         delivered = 0
         total_rate = 0.0
@@ -332,7 +332,7 @@ def bench_signal(
             engine_snrs = []
             start = time.perf_counter()
             for session in range(n_sessions):
-                report = run_session(
+                report = run(
                     solution, channels, payloads, config, rng=default_rng(session)
                 )
                 delivered += report.delivery_count

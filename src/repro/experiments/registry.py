@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -59,13 +59,13 @@ Canonicalizer = Callable[[Mapping[str, Any]], Mapping[str, Any]]
 WLAN_ENGINE = "batched"
 
 
-def check_engine(params: Mapping[str, Any]) -> None:
-    """Reject an ``engine`` other than :data:`WLAN_ENGINE` — before a
-    sweep keys, serves or stores a cell, and before a trial runs."""
-    engine = params.get("engine", WLAN_ENGINE)
-    if engine != WLAN_ENGINE:
+def check_engine(params: Mapping[str, Any], accepted: str = WLAN_ENGINE) -> None:
+    """Reject an ``engine`` other than ``accepted`` — before a sweep keys,
+    serves or stores a cell, and before a trial runs."""
+    engine = params.get("engine", accepted)
+    if engine != accepted:
         raise ValueError(
-            f"unknown engine {engine!r}: engine accepts only {WLAN_ENGINE!r}"
+            f"unknown engine {engine!r}: engine accepts only {accepted!r}"
         )
 
 
@@ -91,6 +91,17 @@ class Scenario:
         """``params`` with configuration-inert knobs stripped (identity
         when the scenario declares no canonicalizer)."""
         return params if self.canonicalize is None else self.canonicalize(params)
+
+    def check_known(self, names: Iterable[str]) -> None:
+        """Reject parameter names the scenario does not declare: a typo'd
+        knob would otherwise run the defaults under its own name."""
+        unknown = sorted(set(names) - set(self.default_params))
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) for scenario {self.name!r}: "
+                f"{', '.join(unknown)}; known knobs: "
+                f"{', '.join(sorted(self.default_params)) or '<none>'}"
+            )
 
 
 _REGISTRY: Dict[str, Scenario] = {}

@@ -85,6 +85,7 @@ class ExperimentRunner:
         """Execute a scenario and return its structured result."""
         if not isinstance(scenario, Scenario):
             scenario = get_scenario(scenario)
+        scenario.check_known(params or {})
         merged: dict = dict(scenario.default_params)
         merged.update(params or {})
         frozen = MappingProxyType(merged)

@@ -23,14 +23,17 @@ fig13b_signal  Fig. 13b at signal level: 3 concurrent downlink packets
 ============== ========================================================
 
 These sweeps only became practical when the pipeline was vectorized
-(block phase tracking, batched Viterbi — see ``BENCH_signal.json``); the
-``engine`` parameter still accepts ``"reference"`` to run a sweep on the
-scalar path for validation.
+(block phase tracking, batched Viterbi — see ``BENCH_signal.json``).
+Trials always run that one path, :func:`~repro.core.session.run_session`.
+Its ``engine`` parameter accepts only ``"fast"``: it selects nothing, but
+every result's ``params`` (so every pinned digest) and every sweep cell's
+identity hold it; any other value fails before a trial runs or a cell is
+keyed.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict, Mapping
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from repro.core import (
     solve_downlink_three_packets,
     solve_uplink_three_packets,
 )
-from repro.experiments.registry import TrialContext, register_scenario
+from repro.experiments.registry import TrialContext, check_engine, register_scenario
 from repro.experiments.scenarios import _format_scatter
 from repro.phy.packet import Packet
 
@@ -49,29 +52,59 @@ from repro.phy.packet import Packet
 #: enough that a thousand-trial sweep stays interactive.
 DEFAULT_PAYLOAD_BYTES = 60
 
+#: The one value the signal scenarios' ``engine`` parameter accepts.
+SIGNAL_ENGINE = "fast"
+
 _SIGNAL_DEFAULTS = {
     "payload_bytes": DEFAULT_PAYLOAD_BYTES,
     "modulation": "bpsk",  # the prototype's scheme (§10b)
     "fec": "conv",
     "cfo_spread": 5e-5,
     "max_timing_offset": 16,
-    "engine": "fast",
+    "engine": SIGNAL_ENGINE,
 }
+
+
+def canonical_signal_params(p: Mapping[str, Any]) -> Mapping[str, Any]:
+    """Reject a retired ``engine`` before a sweep keys a cell; ``engine``
+    itself stays in the identity, so signal store keys never moved."""
+    check_engine(p, SIGNAL_ENGINE)
+    return p
 
 
 def _signal_config(ctx: TrialContext) -> SignalConfig:
     p = ctx.params
+    check_engine(p, SIGNAL_ENGINE)
     return SignalConfig(
         modulation=str(p["modulation"]),
         fec=p["fec"] if p["fec"] is None else str(p["fec"]),
         noise_power=ctx.testbed.noise_power,
         cfo_spread=float(p["cfo_spread"]),
         max_timing_offset=int(p["max_timing_offset"]),
-        engine=str(p["engine"]),
     )
 
 
-def _signal_metrics(report, dot11: float) -> Dict[str, float]:
+def _signal_trial(ctx: TrialContext, direction: str) -> Dict[str, float]:
+    """One alignment solution through the sample-level pipeline, against
+    the rate-level best-AP 802.11 baseline of the same nodes."""
+    config = _signal_config(ctx)
+    n_clients, n_aps = int(ctx.params["n_clients"]), int(ctx.params["n_aps"])
+    nodes = ctx.testbed.pick_nodes(n_clients + n_aps, ctx.rng)
+    clients, aps = nodes[:n_clients], nodes[n_clients:]
+    noise = ctx.testbed.noise_power
+    uplink = direction == "uplink"
+    senders, receivers = (clients, aps) if uplink else (aps, clients)
+    channels = ctx.testbed.channel_set(senders, receivers)
+    links = [best_ap_link(channels, c, aps, noise, direction=direction) for c in clients]
+    dot11 = float(np.mean([link.rate for link in links]))
+    solve = solve_uplink_three_packets if uplink else solve_downlink_three_packets
+    solution = solve(channels, clients=tuple(clients), aps=tuple(aps), rng=ctx.rng)
+    payload_bytes = int(ctx.params["payload_bytes"])
+    payloads = {
+        p.packet_id: Packet.random(ctx.rng, payload_bytes, src=p.tx, seq=p.packet_id)
+        for p in solution.packets
+    }
+    report = run_session(solution, channels, payloads, config, rng=ctx.rng)
     iac = report.total_rate
     return {
         "dot11": dot11,
@@ -91,6 +124,7 @@ def _signal_metrics(report, dot11: float) -> Dict[str, float]:
     default_trials=25,
     tags=("scatter", "uplink", "signal"),
     formatter=_format_scatter,
+    canonicalize=canonical_signal_params,
 )
 def fig12_signal_trial(ctx: TrialContext) -> Dict[str, float]:
     """Fig. 12 through the sample-level pipeline.
@@ -100,30 +134,7 @@ def fig12_signal_trial(ctx: TrialContext) -> Dict[str, float]:
     signal level would double the per-trial cost for the same statistic
     in expectation.
     """
-    n_clients, n_aps = int(ctx.params["n_clients"]), int(ctx.params["n_aps"])
-    nodes = ctx.testbed.pick_nodes(n_clients + n_aps, ctx.rng)
-    clients, aps = nodes[:n_clients], nodes[n_clients:]
-    noise = ctx.testbed.noise_power
-    channels = ctx.testbed.channel_set(clients, aps)
-
-    dot11 = float(
-        np.mean(
-            [
-                best_ap_link(channels, c, aps, noise, direction="uplink").rate
-                for c in clients
-            ]
-        )
-    )
-    solution = solve_uplink_three_packets(
-        channels, clients=tuple(clients), aps=tuple(aps), rng=ctx.rng
-    )
-    payload_bytes = int(ctx.params["payload_bytes"])
-    payloads = {
-        p.packet_id: Packet.random(ctx.rng, payload_bytes, src=p.tx, seq=p.packet_id)
-        for p in solution.packets
-    }
-    report = run_session(solution, channels, payloads, _signal_config(ctx), rng=ctx.rng)
-    return _signal_metrics(report, dot11)
+    return _signal_trial(ctx, "uplink")
 
 
 @register_scenario(
@@ -135,33 +146,11 @@ def fig12_signal_trial(ctx: TrialContext) -> Dict[str, float]:
     default_trials=25,
     tags=("scatter", "downlink", "signal"),
     formatter=_format_scatter,
+    canonicalize=canonical_signal_params,
 )
 def fig13b_signal_trial(ctx: TrialContext) -> Dict[str, float]:
     """Fig. 13b through the sample-level pipeline (AP i serves client i)."""
-    n_clients, n_aps = int(ctx.params["n_clients"]), int(ctx.params["n_aps"])
-    nodes = ctx.testbed.pick_nodes(n_clients + n_aps, ctx.rng)
-    clients, aps = nodes[:n_clients], nodes[n_clients:]
-    noise = ctx.testbed.noise_power
-    channels = ctx.testbed.channel_set(aps, clients)
-
-    dot11 = float(
-        np.mean(
-            [
-                best_ap_link(channels, c, aps, noise, direction="downlink").rate
-                for c in clients
-            ]
-        )
-    )
-    solution = solve_downlink_three_packets(
-        channels, aps=tuple(aps), clients=tuple(clients), rng=ctx.rng
-    )
-    payload_bytes = int(ctx.params["payload_bytes"])
-    payloads = {
-        p.packet_id: Packet.random(ctx.rng, payload_bytes, src=p.tx, seq=p.packet_id)
-        for p in solution.packets
-    }
-    report = run_session(solution, channels, payloads, _signal_config(ctx), rng=ctx.rng)
-    return _signal_metrics(report, dot11)
+    return _signal_trial(ctx, "downlink")
 
 
 SIGNAL_SCENARIOS = ["fig12_signal", "fig13b_signal"]

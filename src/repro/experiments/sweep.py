@@ -528,16 +528,7 @@ def run_sweep(
     )
 
     fixed = dict(params or {})
-    # A misspelled axis would otherwise be silently ignored by the trial
-    # while still entering the cell identity — every row would differ by
-    # pure seed noise dressed up as an effect of the typo'd knob.
-    known = set(scenario.default_params)
-    unknown = sorted((set(grid) | set(fixed)) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) for scenario {scenario.name!r}: "
-            f"{', '.join(unknown)}; known knobs: {', '.join(sorted(known)) or '<none>'}"
-        )
+    scenario.check_known(set(grid) | set(fixed))
     cells = grid_cells(grid)
     jobs: List[Tuple[int, Dict[str, Any], Dict[str, Any], str]] = []
     results: List[Optional[Union[SweepCell, QuarantinedCell]]] = [None] * len(cells)

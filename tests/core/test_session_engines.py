@@ -1,7 +1,9 @@
-"""Equivalence tests: the fast signal-pipeline engine vs the scalar reference.
+"""Equivalence tests: ``run_session`` vs its scalar oracle
+``run_session_reference``.
 
-The ISSUE's acceptance bar: the fast and reference paths must produce
-**bit-identical decoded payloads** and **matching SessionReport SNRs**.
+The bar: the fast and reference paths must produce **bit-identical
+decoded payloads** and **matching SessionReport SNRs**, on hand-picked
+configurations and across the whole config space (a hypothesis property).
 The block phase tracker is additionally validated symbol-by-symbol
 against the scalar PLL on CFO-impaired payloads.
 """
@@ -10,6 +12,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ChannelSet,
@@ -17,7 +21,11 @@ from repro.core import (
     run_session,
     solve_uplink_three_packets,
 )
-from repro.core.session import _BlockPhaseTracker, _PhaseTracker
+from repro.core.session import (
+    _BlockPhaseTracker,
+    _PhaseTracker,
+    run_session_reference,
+)
 from repro.phy.channel.model import rayleigh_channel
 from repro.phy.modulation import get_modulator
 from repro.phy.packet import Packet
@@ -104,63 +112,121 @@ ENGINE_CONFIGS = [
 ]
 
 
+def _assert_reports_agree(fast, ref):
+    # Bit-identical decoded payloads (same packets delivered, and a
+    # delivered packet equals its payload by the CRC/frame check).
+    assert fast.decoded == ref.decoded
+    assert [o.delivered for o in fast.outcomes] == [
+        o.delivered for o in ref.outcomes
+    ]
+    assert [o.bit_errors_precrc for o in fast.outcomes] == [
+        o.bit_errors_precrc for o in ref.outcomes
+    ]
+    # Matching measured SNRs (float noise only).
+    for a, b in zip(fast.outcomes, ref.outcomes):
+        if np.isinf(a.snr_db) or np.isinf(b.snr_db):
+            assert a.snr_db == b.snr_db
+        else:
+            assert a.snr_db == pytest.approx(b.snr_db, abs=1e-6)
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("kw", ENGINE_CONFIGS, ids=lambda kw: f"{kw['modulation']}-{kw['fec']}")
     def test_fast_matches_reference(self, scene, kw):
         solution, chans, payloads = scene
+        cfg = SignalConfig(**kw)
         for seed in range(3):
             fast = run_session(
-                solution, chans, payloads,
-                SignalConfig(engine="fast", **kw), rng=np.random.default_rng(seed),
+                solution, chans, payloads, cfg, rng=np.random.default_rng(seed)
             )
-            ref = run_session(
-                solution, chans, payloads,
-                SignalConfig(engine="reference", **kw), rng=np.random.default_rng(seed),
+            ref = run_session_reference(
+                solution, chans, payloads, cfg, rng=np.random.default_rng(seed)
             )
-            # Bit-identical decoded payloads (same packets delivered, and a
-            # delivered packet equals its payload by the CRC/frame check).
-            assert fast.decoded == ref.decoded
-            assert [o.delivered for o in fast.outcomes] == [
-                o.delivered for o in ref.outcomes
-            ]
-            assert [o.bit_errors_precrc for o in fast.outcomes] == [
-                o.bit_errors_precrc for o in ref.outcomes
-            ]
-            # Matching measured SNRs (float noise only).
-            for a, b in zip(fast.outcomes, ref.outcomes):
-                if np.isinf(a.snr_db) or np.isinf(b.snr_db):
-                    assert a.snr_db == b.snr_db
-                else:
-                    assert a.snr_db == pytest.approx(b.snr_db, abs=1e-6)
+            _assert_reports_agree(fast, ref)
 
-    def test_unknown_engine_raises(self, scene):
-        solution, chans, payloads = scene
-        with pytest.raises(ValueError):
-            run_session(
-                solution, chans, payloads, SignalConfig(engine="turbo"),
-                rng=np.random.default_rng(0),
-            )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        modulation=st.sampled_from(["bpsk", "qpsk", "8psk", "qam16", "ofdm-qpsk"]),
+        fec=st.sampled_from([None, "conv", "hamming"]),
+        cfo_spread=st.sampled_from([0.0, 2e-5, 1e-4]),
+        max_timing_offset=st.sampled_from([0, 8, 16]),
+        estimate_channels=st.booleans(),
+        noise_db=st.floats(min_value=-50.0, max_value=-10.0),
+        payload_bytes=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_fast_matches_reference_over_config_space(
+        self, scene, modulation, fec, cfo_spread, max_timing_offset,
+        estimate_channels, noise_db, payload_bytes, seed,
+    ):
+        """Every corner of modulation x fec x impairments x noise, with
+        payload lengths the hand-picked grid never tries."""
+        solution, chans, _ = scene
+        rng = np.random.default_rng(seed)
+        payloads = {
+            i: Packet.random(rng, payload_bytes, src=i, seq=i) for i in range(3)
+        }
+        cfg = SignalConfig(
+            modulation=modulation,
+            fec=fec,
+            noise_power=10 ** (noise_db / 10),
+            cfo_spread=cfo_spread,
+            max_timing_offset=max_timing_offset,
+            estimate_channels=estimate_channels,
+        )
+        fast = run_session(
+            solution, chans, payloads, cfg, rng=np.random.default_rng(seed)
+        )
+        ref = run_session_reference(
+            solution, chans, payloads, cfg, rng=np.random.default_rng(seed)
+        )
+        _assert_reports_agree(fast, ref)
+
+    def test_unknown_engine_raises(self):
+        """Six knobs, none of them selects kernels: the entry point does."""
+        assert [f.name for f in dataclasses.fields(SignalConfig)] == [
+            "modulation", "fec", "noise_power", "cfo_spread",
+            "max_timing_offset", "estimate_channels",
+        ]
+        for knob, value in [
+            ("engine", "turbo"), ("engine", "reference"),
+            ("preamble_length", 64), ("training_preamble_length", 128),
+            ("phase_tracking", False), ("refine_cancellation", False),
+        ]:
+            with pytest.raises(TypeError):
+                SignalConfig(**{knob: value})
 
     def test_fast_is_faster_on_conv_payloads(self, scene):
         """Smoke perf check (generous margin; the bench records the real
-        number): the fast engine must not be slower than the reference."""
+        number): the fast path must not be slower than the reference."""
         import time
 
         solution, chans, payloads = scene
-        kw = dict(modulation="bpsk", fec="conv", noise_power=1e-4)
+        cfg = SignalConfig(modulation="bpsk", fec="conv", noise_power=1e-4)
         timings = {}
-        for engine in ("fast", "reference"):
-            cfg = SignalConfig(engine=engine, **kw)
+        for name, run in (("fast", run_session), ("reference", run_session_reference)):
             start = time.perf_counter()
             for seed in range(3):
-                run_session(solution, chans, payloads, cfg, rng=np.random.default_rng(seed))
-            timings[engine] = time.perf_counter() - start
+                run(solution, chans, payloads, cfg, rng=np.random.default_rng(seed))
+            timings[name] = time.perf_counter() - start
         assert timings["fast"] < timings["reference"]
 
 
 class TestEngineDefaults:
-    def test_default_engine_is_fast(self):
-        assert SignalConfig().engine == "fast"
+    def test_default_engine_is_fast(self, scene, monkeypatch):
+        """``run_session`` hands the shared body the fast kernels."""
+        from repro.core import session
+
+        seen = []
+        monkeypatch.setattr(
+            session, "_run_pipeline", lambda *args: seen.append(args[-1])
+        )
+        solution, chans, payloads = scene
+        session.run_session(solution, chans, payloads, SignalConfig())
+        session.run_session_reference(solution, chans, payloads, SignalConfig())
+        fast, scalar = seen
+        assert fast.tracker is _BlockPhaseTracker and fast.batch_viterbi
+        assert scalar.tracker is _PhaseTracker and not scalar.batch_viterbi
 
     def test_make_fec_is_cached(self):
         a = SignalConfig(fec="conv").make_fec()
@@ -168,5 +234,6 @@ class TestEngineDefaults:
         assert a is b
 
     def test_replace_keeps_engine(self):
-        cfg = dataclasses.replace(SignalConfig(), engine="reference")
-        assert cfg.engine == "reference"
+        """``replace`` cannot smuggle a kernel choice back in."""
+        with pytest.raises(TypeError):
+            dataclasses.replace(SignalConfig(), engine="reference")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import ExperimentRunner, get_scenario, scenarios_by_tag
+from repro.experiments.sweep import run_sweep
 from repro.experiments.signal_scenarios import SIGNAL_SCENARIOS
 
 
@@ -50,13 +51,32 @@ class TestTrials:
         )
         assert serial.to_dict() == parallel.to_dict()
 
-    def test_reference_engine_param_agrees(self, runner):
-        """engine=reference through the scenario surface: identical
-        deliveries and rates (the trial's RNG draws are engine-independent)."""
+    def test_reference_engine_param_agrees(self, runner, monkeypatch, tmp_path):
+        """``engine`` accepts only ``"fast"`` (naming it), before a sweep
+        keys a cell or a trial runs; the scalar oracle behind the same
+        scenario surface gives identical deliveries and rates (the trial's
+        RNG draws do not depend on the kernels)."""
+        from repro.core.session import run_session_reference
+        from repro.experiments import signal_scenarios
+
+        spec = get_scenario("fig13b_signal")
+        with pytest.raises(ValueError, match="engine accepts only 'fast'"):
+            spec.canonical_params({**spec.default_params, "engine": "reference"})
+        cache = tmp_path / "cells.jsonl"
+        with pytest.raises(ValueError, match="engine accepts only 'fast'"):
+            run_sweep(
+                "fig13b_signal", {"payload_bytes": [20, 40]}, n_trials=1,
+                params={"engine": "reference"}, cache=cache,
+            )
+        assert not cache.exists()
+        with pytest.raises(ValueError, match="engine accepts only 'fast'"):
+            runner.run(
+                "fig13b_signal", n_trials=2, seed=5, params={"engine": "reference"}
+            )
         fast = runner.run("fig13b_signal", n_trials=2, seed=5)
-        ref = runner.run(
-            "fig13b_signal", n_trials=2, seed=5, params={"engine": "reference"}
-        )
+        monkeypatch.setattr(signal_scenarios, "run_session", run_session_reference)
+        ref = runner.run("fig13b_signal", n_trials=2, seed=5)
+        assert ref.params == fast.params
         for a, b in zip(fast.records, ref.records):
             assert a.metrics["delivered"] == b.metrics["delivered"]
             assert a.metrics["iac"] == pytest.approx(b.metrics["iac"], abs=1e-6)

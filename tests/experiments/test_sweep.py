@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments import register_scenario, unregister_scenario
+from repro.experiments import ExperimentRunner, register_scenario, unregister_scenario
 from repro.experiments.sweep import (
     SweepCache,
     SweepResult,
@@ -126,6 +126,8 @@ class TestRunSweep:
             run_sweep(toy_scenario, {"scal_e": [1.0, 2.0]})
         with pytest.raises(ValueError, match="offst"):
             run_sweep(toy_scenario, {"scale": [1.0]}, params={"offst": 2.0})
+        with pytest.raises(ValueError, match="bogus.*known knobs: offset, scale"):
+            ExperimentRunner().run(toy_scenario, n_trials=1, params={"bogus": 1})
 
 
 class TestSweepCache:
@@ -331,6 +333,13 @@ class TestSweepCLI:
         assert set(by_churn) == {True, False}
         assert by_churn[False]["summary"]["leaves"]["mean"] == 0.0
         assert by_churn[True]["summary"]["leaves"]["mean"] > 0.0
+        # A bare `None` selects e.g. an uncoded signal pipeline, not the
+        # string "None".
+        assert main([
+            "run", "fig13b_signal", "--trials", "1", "--param", "fec=None",
+            "--json", "-",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["fec"] is None
 
     def test_removed_engine_rejected_before_any_cell_runs(self, capsys):
         """`--grid engine=columnar` names the knob and what it accepts."""
